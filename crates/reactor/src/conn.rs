@@ -10,11 +10,16 @@
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Upper bound on a frame payload — matches the blocking transport's
 /// cap, so the two backends accept exactly the same streams.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024 * 1024;
+
+/// Grace window for [`parting_flush`]: replies queued before a front
+/// end stops must reach the wire before their sockets drop, or an
+/// orderly goodbye would look like a crash to the peer.
+pub const PARTING_FLUSH_BUDGET: Duration = Duration::from_millis(500);
 
 /// Why a connection stopped being usable.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,6 +200,23 @@ impl FramedConn {
             self.wbuf.drain(..self.wpos);
             self.wpos = 0;
         }
+    }
+}
+
+/// Teardown flush shared by every reactor front end: writes each
+/// connection's queued bytes, retrying full sockets, until every queue
+/// drains or [`PARTING_FLUSH_BUDGET`] runs out. A connection whose
+/// flush fails has lost its peer, and its bytes with it; it is skipped.
+/// The caller drops the sockets afterwards.
+pub fn parting_flush<'a>(conns: impl IntoIterator<Item = &'a mut FramedConn>) {
+    let deadline = Instant::now() + PARTING_FLUSH_BUDGET;
+    let mut pending: Vec<&mut FramedConn> = conns.into_iter().collect();
+    loop {
+        pending.retain_mut(|fc| matches!(fc.flush(), Ok(true)));
+        if pending.is_empty() || Instant::now() >= deadline {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 

@@ -22,7 +22,7 @@
 mod conn;
 mod sys;
 
-pub use conn::{ConnError, FramedConn, MAX_FRAME_BYTES};
+pub use conn::{parting_flush, ConnError, FramedConn, MAX_FRAME_BYTES, PARTING_FLUSH_BUDGET};
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};

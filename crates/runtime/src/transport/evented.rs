@@ -69,9 +69,11 @@ pub struct EventedTcpMaster {
 impl EventedTcpMaster {
     /// Gracefully shuts the endpoint down: the reactor is woken (no
     /// inbound connection required — this is what the waker is for),
-    /// closes every socket, and exits; this call joins it. Subsequent
-    /// `send`s fail with [`TransportError::Disconnected`]. Dropping
-    /// the master does the same implicitly.
+    /// flushes every reply `send` queued before this call within
+    /// [`lss_reactor::PARTING_FLUSH_BUDGET`], then closes every socket
+    /// and exits; this call joins it. Subsequent `send`s fail with
+    /// [`TransportError::Disconnected`]. Dropping the master does the
+    /// same implicitly.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
@@ -287,6 +289,12 @@ impl Reactor {
                 break;
             }
             if self.shared.shutdown.load(Ordering::SeqCst) {
+                // The master queued its last replies (the `Finished`
+                // each worker is owed) before shutting down, often in
+                // the same wake: deliver them within the parting
+                // budget, then tear down.
+                self.drain_outbox();
+                lss_reactor::parting_flush(self.conns.values_mut().map(|c| &mut c.fc));
                 break;
             }
             for ev in std::mem::take(&mut events) {
@@ -664,6 +672,30 @@ mod tests {
         let err = t.join().unwrap().unwrap_err();
         assert!(err.is_disconnect(), "{err:?}");
         assert!(master.send(0, crate::protocol::Reply { assignment: Assignment::Retry }).is_err());
+    }
+
+    #[test]
+    fn evented_shutdown_delivers_queued_replies() {
+        // The master's last word is a `Finished` sent right before it
+        // shuts down; the reactor usually wakes once for both, and the
+        // queued reply must reach the wire before the socket closes.
+        for _ in 0..20 {
+            let handle = evented_listen().unwrap();
+            let addr = handle.addr;
+            let t = std::thread::spawn(move || {
+                let mut w =
+                    TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+                w.recv_reply()
+            });
+            let mut master = handle.accept_workers(1).unwrap();
+            let _ = next_request(&mut master);
+            master
+                .send(0, crate::protocol::Reply { assignment: Assignment::Finished })
+                .unwrap();
+            master.shutdown();
+            let reply = t.join().unwrap().expect("queued Finished lost at shutdown");
+            assert_eq!(reply.assignment, Assignment::Finished);
+        }
     }
 
     #[test]

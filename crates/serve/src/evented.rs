@@ -48,11 +48,6 @@ const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 /// often to scan deadlines even when no fd stirs.
 const SCAN_SLICE: Duration = Duration::from_millis(100);
 
-/// Grace window after stop for flushing queued farewell frames: the
-/// `Shutdown` each worker was promised must reach the wire before its
-/// socket drops, or an orderly drain would look like a crash.
-const PARTING_FLUSH_BUDGET: Duration = Duration::from_millis(500);
-
 /// Reply queue shared between the service thread and the reactor.
 /// [`ReplyTo::Evented`] pushes here; the reactor drains after every
 /// wake and moves the frames onto their connections.
@@ -162,10 +157,11 @@ impl Reactor {
                 break;
             }
             if self.stop.load(Ordering::SeqCst) {
-                // The service exited after queueing its farewells:
-                // deliver them, then tear down.
+                // The service exited after queueing its farewells (the
+                // `Shutdown` each worker was promised): deliver them
+                // within the parting budget, then tear down.
                 self.drain_outbox();
-                self.final_flush();
+                lss_reactor::parting_flush(self.conns.values_mut().map(|c| &mut c.fc));
                 return;
             }
             for ev in std::mem::take(&mut events) {
@@ -384,26 +380,6 @@ impl Reactor {
         }
         for token in doomed {
             self.close_conn(token);
-        }
-    }
-
-    /// Best-effort delivery of pending farewell bytes after stop,
-    /// bounded by [`PARTING_FLUSH_BUDGET`]; then every socket drops.
-    fn final_flush(&mut self) {
-        let deadline = Instant::now() + PARTING_FLUSH_BUDGET;
-        loop {
-            let tokens: Vec<u64> = self.conns.keys().copied().collect();
-            let mut pending = false;
-            for token in tokens {
-                self.flush_conn(token);
-                if self.conns.get(&token).is_some_and(|c| c.fc.wants_write()) {
-                    pending = true;
-                }
-            }
-            if !pending || Instant::now() >= deadline {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(2));
         }
     }
 

@@ -4,7 +4,7 @@
 //! standalone script with plain `rustc`); this module includes that
 //! file and wraps it in a library API. See the rule docs there:
 //! scheme-purity, no-wall-clock, no-unwrap-runtime,
-//! serve-link-deadline, serve-scheduler-pure-time.
+//! serve-link-deadline, serve-scheduler-pure-time, shard-no-wall-clock.
 
 #[allow(dead_code, clippy::unwrap_used)]
 #[path = "../../../scripts/lint.rs"]
@@ -65,7 +65,17 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert_eq!(report.rules.len(), 5);
+        assert_eq!(
+            report.rules,
+            [
+                "scheme-purity",
+                "no-wall-clock",
+                "no-unwrap-runtime",
+                "serve-link-deadline",
+                "serve-scheduler-pure-time",
+                "shard-no-wall-clock",
+            ]
+        );
     }
 
     #[test]
