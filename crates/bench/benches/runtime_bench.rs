@@ -24,7 +24,7 @@ fn bench_end_to_end(c: &mut Criterion) {
     g.bench_function("tcp_TFSS", |b| {
         b.iter(|| {
             let mut cfg = HarnessConfig::paper_mix(SchemeKind::Tfss, 2, 0);
-            cfg.transport = Transport::Tcp;
+            cfg.transport = Transport::TcpEvented;
             run_scheduled_loop(&cfg, Arc::clone(&w)).report.t_p
         })
     });

@@ -3,10 +3,10 @@
 //! point the harness measures jobs/sec and the p50/p99 of per-job
 //! latency (submit to retire, from the service's own `JobStatus`
 //! clock), plus scheduling round trips — the number batched grants
-//! exist to cut. A second sweep compares the two TCP front ends —
-//! blocking thread-per-connection vs the epoll reactor — head to head
-//! at 16 and 256 jobs, plus a connection-scaling curve. Results land
-//! in `results/BENCH_serve.json`.
+//! exist to cut. A second sweep runs the same service over real
+//! loopback TCP (the epoll reactor front end) at 16 and 256 jobs, plus
+//! a connection-scaling curve. Results land in
+//! `results/BENCH_serve.json`.
 //!
 //! ```sh
 //! cargo run --release -p lss-bench --bin serve_throughput
@@ -16,8 +16,7 @@ use lss_bench::experiments::{quick_mode, write_artifact};
 use lss_core::SchemeKind;
 use lss_runtime::protocol::serve::{JobSpec, WorkloadSpec};
 use lss_serve::{
-    run_serve_worker, serve, serve_tcp_with, ServeBackend, ServeClient, ServeConfig,
-    ServeWorkerConfig, TcpLink,
+    run_serve_worker, serve, serve_tcp, ServeClient, ServeConfig, ServeWorkerConfig, TcpLink,
 };
 
 const WORKERS: usize = 8;
@@ -93,16 +92,16 @@ fn run_point(concurrency: usize, batch_k: usize, jobs: usize, iters: u64) -> Poi
     }
 }
 
-/// One backend x (connections, jobs) point over real loopback TCP:
-/// `conns` workers each dial the service on its own socket, `jobs`
-/// uniform jobs stream through, and the figure of merit is retired
-/// jobs per second of wall clock.
-fn run_tcp_point(backend: ServeBackend, conns: usize, jobs: usize, iters: u64) -> f64 {
+/// One (connections, jobs) point over real loopback TCP: `conns`
+/// workers each dial the service on its own socket, `jobs` uniform
+/// jobs stream through, and the figure of merit is retired jobs per
+/// second of wall clock.
+fn run_tcp_point(conns: usize, jobs: usize, iters: u64) -> f64 {
     let mut cfg = ServeConfig::new(conns);
     cfg.max_active = 4;
     cfg.batch_k = 4;
     cfg.queue_capacity = jobs + 1;
-    let handle = serve_tcp_with(cfg, "127.0.0.1", 0, backend).expect("serve over tcp");
+    let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve over tcp");
     let addr = handle.addr.expect("tcp service has an address");
     let worker_threads: Vec<_> = (0..conns)
         .map(|w| {
@@ -134,13 +133,10 @@ fn run_tcp_point(backend: ServeBackend, conns: usize, jobs: usize, iters: u64) -
     jobs as f64 / wall_s
 }
 
-/// Best-of-`n` throughput — the comparison points take the best of a
-/// few runs per backend so one unlucky scheduler quantum does not
-/// decide the blocking-vs-reactor verdict.
-fn best_tcp(backend: ServeBackend, conns: usize, jobs: usize, iters: u64, n: usize) -> f64 {
-    (0..n)
-        .map(|_| run_tcp_point(backend, conns, jobs, iters))
-        .fold(0.0, f64::max)
+/// Best-of-`n` throughput, so one unlucky scheduler quantum does not
+/// decide a point.
+fn best_tcp(conns: usize, jobs: usize, iters: u64, n: usize) -> f64 {
+    (0..n).map(|_| run_tcp_point(conns, jobs, iters)).fold(0.0, f64::max)
 }
 
 fn main() {
@@ -167,28 +163,24 @@ fn main() {
         }
     }
 
-    // Backend face-off over real TCP: the 16-job point (the gate: the
-    // reactor must not lose to thread-per-connection at small scale)
-    // and the 256-job sustained point, then a connection-scaling curve.
+    // The service over real TCP: the 16-job point, the 256-job
+    // sustained point, then a connection-scaling curve.
     let (tcp_iters, reps) = if quick_mode() { (1_000, 2) } else { (5_000, 3) };
-    println!("\n{:>9} {:>6} {:>6} {:>14} {:>14}", "tcp", "conns", "jobs", "blocking j/s", "evented j/s");
-    let mut faceoff = Vec::new();
+    println!("\n{:>9} {:>6} {:>6} {:>14}", "tcp", "conns", "jobs", "evented j/s");
+    let mut tcp_points = Vec::new();
     for jobs in [16usize, 256] {
-        let blocking = best_tcp(ServeBackend::Blocking, WORKERS, jobs, tcp_iters, reps);
-        let evented = best_tcp(ServeBackend::Evented, WORKERS, jobs, tcp_iters, reps);
-        println!("{:>9} {:>6} {:>6} {:>14.2} {:>14.2}", "faceoff", WORKERS, jobs, blocking, evented);
-        faceoff.push((jobs, blocking, evented));
+        let evented = best_tcp(WORKERS, jobs, tcp_iters, reps);
+        println!("{:>9} {:>6} {:>6} {:>14.2}", "jobs", WORKERS, jobs, evented);
+        tcp_points.push((jobs, evented));
     }
     let conn_counts: &[usize] = if quick_mode() { &[2, 8] } else { &[2, 8, 16, 32] };
     let scaling_jobs = 64usize;
     let mut scaling = Vec::new();
     for &conns in conn_counts {
-        let blocking = run_tcp_point(ServeBackend::Blocking, conns, scaling_jobs, tcp_iters);
-        let evented = run_tcp_point(ServeBackend::Evented, conns, scaling_jobs, tcp_iters);
-        println!("{:>9} {:>6} {:>6} {:>14.2} {:>14.2}", "scaling", conns, scaling_jobs, blocking, evented);
-        scaling.push((conns, blocking, evented));
+        let evented = run_tcp_point(conns, scaling_jobs, tcp_iters);
+        println!("{:>9} {:>6} {:>6} {:>14.2}", "scaling", conns, scaling_jobs, evented);
+        scaling.push((conns, evented));
     }
-    let (_, blocking_16, evented_16) = faceoff[0];
 
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"serve_throughput\",\n");
@@ -198,21 +190,16 @@ fn main() {
     json.push_str("  \"scheme\": \"dtss\",\n");
     json.push_str("  \"tcp_backends\": {\n");
     json.push_str(&format!("    \"iterations_per_job\": {tcp_iters},\n"));
-    for (jobs, blocking, evented) in &faceoff {
+    for (jobs, evented) in &tcp_points {
         json.push_str(&format!(
-            "    \"jobs_{jobs}\": {{\"blocking_jobs_per_sec\": {blocking:.3}, \
-             \"evented_jobs_per_sec\": {evented:.3}}},\n"
+            "    \"jobs_{jobs}\": {{\"evented_jobs_per_sec\": {evented:.3}}},\n"
         ));
     }
-    json.push_str(&format!(
-        "    \"evented_at_least_blocking_at_16_jobs\": {},\n",
-        evented_16 >= blocking_16
-    ));
     json.push_str("    \"connection_scaling\": [\n");
-    for (i, (conns, blocking, evented)) in scaling.iter().enumerate() {
+    for (i, (conns, evented)) in scaling.iter().enumerate() {
         json.push_str(&format!(
             "      {{\"connections\": {conns}, \"jobs\": {scaling_jobs}, \
-             \"blocking_jobs_per_sec\": {blocking:.3}, \"evented_jobs_per_sec\": {evented:.3}}}{}\n",
+             \"evented_jobs_per_sec\": {evented:.3}}}{}\n",
             if i + 1 < scaling.len() { "," } else { "" },
         ));
     }

@@ -48,9 +48,11 @@ USAGE:
       Check that FILE is a well-formed lss-sweep-v1 artifact.
   lss run <scheme> [--width W] [--height H] [--sf S] [--fast F] [--slow S]
       [--tcp]
-      Execute the loop for real on emulated-heterogeneous threads.
+      Execute the loop for real on emulated-heterogeneous threads
+      (--tcp: over loopback TCP instead of in-process channels).
   lss master --port P --workers N <scheme> [--width W] [--height H] [--sf S]
-      Host the master for N separate worker *processes* over TCP.
+      Host the master for N separate worker *processes* over TCP; every
+      worker connection is served by one epoll reactor thread.
   lss worker --connect HOST:PORT --id I [--slowdown K] [--width W]
       [--height H] [--sf S]
       Join a master as worker I (workload flags must match the master's).
@@ -84,7 +86,6 @@ USAGE:
   lss serve [--port P] [--workers N] [--local-workers] [--batch K]
       [--queue-cap Q] [--max-active M] [--jobs-limit J] [--trace-out FILE]
       [--journal DIR | --recover DIR] [--no-quarantine]
-      [--backend blocking|evented]
       Run the multi-job scheduling service over TCP: clients submit loop
       jobs (lss submit), the service fair-shares the worker pool across
       them by priority. --local-workers attaches N loopback worker
@@ -93,10 +94,8 @@ USAGE:
       writes a durable job journal (WAL + checkpoints); --recover DIR
       replays one after a crash, re-admitting unfinished jobs with only
       their un-completed iterations. --no-quarantine disables straggler
-      quarantine (on by default). --backend picks the connection front
-      end: `blocking` (thread per connection, the default) or `evented`
-      (all sockets multiplexed onto one epoll reactor thread); the
-      LSS_SERVE_BACKEND env var sets the same switch.
+      quarantine (on by default). Every connection is multiplexed onto
+      one epoll reactor thread.
   lss submit <scheme> --connect HOST:PORT [--priority W] [--count N]
       [--iters I --cost C | --width W --height H --sf S] [--wait]
       Submit N copies of a job (uniform loop when --iters is given,
@@ -424,7 +423,7 @@ pub fn cmd_run(args: &Args) -> Result<String, ArgError> {
     let workload = Arc::new(workload_from(args, 600, 300)?);
     let mut cfg = HarnessConfig::paper_mix(scheme, fast, slow);
     if args.has("tcp") {
-        cfg.transport = Transport::Tcp;
+        cfg.transport = Transport::TcpEvented;
     }
     if let Some(q) = args.get("overload-worker0") {
         let q: u32 = q
@@ -581,9 +580,14 @@ pub fn cmd_master(args: &Args) -> Result<String, ArgError> {
     });
     let transport = listener.accept_workers(n).map_err(|e| ArgError(e.to_string()))?;
     let t0 = std::time::Instant::now();
-    let outcome =
-        run_resilient_master(transport, &mut master, n, std::time::Duration::from_millis(2))
-            .map_err(|e| ArgError(e.to_string()))?;
+    let outcome = run_resilient_master(
+        transport,
+        &mut master,
+        n,
+        std::time::Duration::from_millis(2),
+        lss_trace::SharedSink::disabled(),
+    )
+    .map_err(|e| ArgError(e.to_string()))?;
     let missing = outcome.results.iter().filter(|r| r.is_none()).count();
     let mut out = format!(
         "master: served {} requests in {:.3}s; failed workers {:?}; {} of {} results collected\n",
@@ -644,7 +648,7 @@ fn record_trace<W: Workload + Send + Sync + 'static>(
     if args.has("runtime") || args.has("tcp") {
         let mut cfg = HarnessConfig::paper_mix(scheme, fast, slow).traced();
         if args.has("tcp") {
-            cfg.transport = Transport::Tcp;
+            cfg.transport = Transport::TcpEvented;
         }
         if args.has("nondedicated") {
             cfg.workers[0] = WorkerSpec {
@@ -1083,21 +1087,10 @@ pub fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     if args.has("no-quarantine") {
         cfg.quarantine = lss_serve::QuarantineConfig::disabled();
     }
-    // --backend wins over LSS_SERVE_BACKEND; with neither, blocking.
-    let backend = match args.get("backend") {
-        Some("blocking") => lss_serve::ServeBackend::Blocking,
-        Some("evented") => lss_serve::ServeBackend::Evented,
-        Some(other) => {
-            return Err(ArgError(format!(
-                "unknown --backend {other:?} (expected blocking|evented)"
-            )));
-        }
-        None => lss_serve::ServeBackend::from_env().map_err(|e| ArgError(e.to_string()))?,
-    };
-    let handle = lss_serve::serve_tcp_with(cfg, "127.0.0.1", port, backend)
-        .map_err(|e| ArgError(e.to_string()))?;
+    let handle =
+        lss_serve::serve_tcp(cfg, "127.0.0.1", port).map_err(|e| ArgError(e.to_string()))?;
     let addr = handle.addr.ok_or_else(|| ArgError("service has no address".into()))?;
-    eprintln!("serve: listening on {addr} ({workers} workers, {backend:?} front end)");
+    eprintln!("serve: listening on {addr} ({workers} workers)");
 
     let local: Vec<_> = if args.has("local-workers") {
         (0..workers)

@@ -22,12 +22,11 @@ use lss_workloads::Workload;
 
 use crate::backoff::BackoffPolicy;
 use crate::load::LoadState;
-use crate::master::run_resilient_master_traced;
+use crate::master::run_resilient_master;
 use crate::protocol::Request;
 use crate::transport::channels::channel_transport;
 use crate::transport::evented::evented_listen;
-use crate::transport::tcp::{tcp_listen, TcpWorker};
-use crate::transport::{MasterTransport, TransportError};
+use crate::transport::tcp::TcpWorker;
 use crate::worker::{run_worker, WorkerConfig, WorkerStats};
 
 /// Which transport the harness wires up.
@@ -35,11 +34,8 @@ use crate::worker::{run_worker, WorkerConfig, WorkerStats};
 pub enum Transport {
     /// In-process channels (fast, default).
     Channels,
-    /// Localhost TCP sockets with framed messages, one thread per
-    /// connection on the master's side.
-    Tcp,
-    /// The same framed TCP protocol with the master's side multiplexed
-    /// onto a single epoll reactor thread.
+    /// Localhost TCP sockets with framed messages, the master's side
+    /// multiplexed onto a single epoll reactor thread.
     TcpEvented,
 }
 
@@ -226,20 +222,8 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
         })
         .collect();
 
-    // A worker with an injected fault may legitimately end in a
-    // transport error (e.g. it gave up redialling); a healthy worker
-    // may not.
-    let finish = |wcfg: &WorkerConfig, res: Result<WorkerStats, _>| match res {
-        Ok(stats) => stats,
-        Err(e) if !wcfg.fault.is_healthy() => {
-            let _ = e;
-            WorkerStats::default()
-        }
-        Err(e) => panic!("healthy worker {} failed: {e}", wcfg.id),
-    };
-
     let t0 = Instant::now();
-    let (outcome, stats) = match cfg.transport {
+    let (outcome, handles) = match cfg.transport {
         Transport::Channels => {
             let (mt, wts) = channel_transport(p);
             let handles: Vec<_> = wts
@@ -253,49 +237,14 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
                     })
                 })
                 .collect();
-            let outcome = run_resilient_master_traced(
-                mt,
-                &mut master,
-                p,
-                cfg.poll_interval,
-                cfg.trace.clone(),
-            )
-            .expect("master failed");
-            let stats: Vec<WorkerStats> = handles
-                .into_iter()
-                .map(|h| {
-                    let (wcfg, res) = h.join().expect("worker panicked");
-                    finish(&wcfg, res)
-                })
-                .collect();
-            (outcome, stats)
+            let outcome =
+                run_resilient_master(mt, &mut master, p, cfg.poll_interval, cfg.trace.clone())
+                    .expect("master failed");
+            (outcome, handles)
         }
-        Transport::Tcp | Transport::TcpEvented => {
-            // The two TCP flavours differ only in who accepts: workers
-            // dial the same framed protocol either way, so the master
-            // is picked behind the boxed `MasterTransport` seam.
-            type AcceptFn =
-                Box<dyn FnOnce(usize) -> Result<Box<dyn MasterTransport>, TransportError>>;
-            let (addr, accept): (std::net::SocketAddr, AcceptFn) =
-                if cfg.transport == Transport::Tcp {
-                    let listener = tcp_listen().expect("listen failed");
-                    let addr = listener.addr;
-                    (
-                        addr,
-                        Box::new(move |p| {
-                            listener.accept_workers(p).map(|m| Box::new(m) as Box<dyn MasterTransport>)
-                        }),
-                    )
-                } else {
-                    let listener = evented_listen().expect("listen failed");
-                    let addr = listener.addr;
-                    (
-                        addr,
-                        Box::new(move |p| {
-                            listener.accept_workers(p).map(|m| Box::new(m) as Box<dyn MasterTransport>)
-                        }),
-                    )
-                };
+        Transport::TcpEvented => {
+            let listener = evented_listen().expect("listen failed");
+            let addr = listener.addr;
             let handles: Vec<_> = worker_cfgs
                 .into_iter()
                 .map(|wcfg| {
@@ -314,25 +263,24 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
                     })
                 })
                 .collect();
-            let mt = accept(p).expect("accept failed");
-            let outcome = run_resilient_master_traced(
-                mt,
-                &mut master,
-                p,
-                cfg.poll_interval,
-                cfg.trace.clone(),
-            )
-            .expect("master failed");
-            let stats: Vec<WorkerStats> = handles
-                .into_iter()
-                .map(|h| {
-                    let (wcfg, res) = h.join().expect("worker panicked");
-                    finish(&wcfg, res)
-                })
-                .collect();
-            (outcome, stats)
+            let mt = listener.accept_workers(p).expect("accept failed");
+            let outcome =
+                run_resilient_master(mt, &mut master, p, cfg.poll_interval, cfg.trace.clone())
+                    .expect("master failed");
+            (outcome, handles)
         }
     };
+    // A worker with an injected fault may legitimately end in a
+    // transport error (e.g. it gave up redialling); a healthy worker
+    // may not.
+    let stats: Vec<WorkerStats> = handles
+        .into_iter()
+        .map(|h| match h.join().expect("worker panicked") {
+            (_, Ok(stats)) => stats,
+            (wcfg, Err(_)) if !wcfg.fault.is_healthy() => WorkerStats::default(),
+            (wcfg, Err(e)) => panic!("healthy worker {} failed: {e}", wcfg.id),
+        })
+        .collect();
     let t_p = t0.elapsed().as_secs_f64();
 
     let results: Vec<u64> = outcome
@@ -407,19 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_run_completes() {
-        let w = Arc::new(UniformLoop::new(60, 500));
-        let mut cfg = HarnessConfig::paper_mix(SchemeKind::Fss, 2, 0);
-        cfg.transport = Transport::Tcp;
-        let out = run_scheduled_loop(&cfg, Arc::clone(&w));
-        assert_eq!(out.results.len(), 60);
-        for i in 0..60u64 {
-            assert_eq!(out.results[i as usize], w.execute(i));
-        }
-        assert!(out.faults.is_empty(), "{}", out.faults.render());
-    }
-
-    #[test]
     fn evented_tcp_run_completes() {
         let w = Arc::new(UniformLoop::new(60, 500));
         let mut cfg = HarnessConfig::paper_mix(SchemeKind::Fss, 2, 0);
@@ -437,7 +372,12 @@ mod tests {
         let w = Arc::new(UniformLoop::new(120, 400));
         let mut cfg = HarnessConfig::paper_mix(SchemeKind::Css { k: 10 }, 2, 0);
         cfg.transport = Transport::TcpEvented;
-        cfg.workers.push(WorkerSpec::failing_after(1));
+        // Crash on the first grant. Over TCP this always fires:
+        // `accept_workers` returns only after every worker's hello is
+        // in, so the master serves worker 2's hello before either
+        // peer's second request, and CSS k=10 has more chunks than
+        // workers, so that hello is granted a chunk.
+        cfg.workers.push(WorkerSpec::failing_after(0));
         let out = run_scheduled_loop(&cfg, Arc::clone(&w));
         assert_eq!(out.results.len(), 120);
         for i in 0..120u64 {
@@ -550,7 +490,7 @@ mod tests {
     fn traced_tcp_run_produces_the_same_schema() {
         let w = Arc::new(UniformLoop::new(60, 500));
         let mut cfg = HarnessConfig::paper_mix(SchemeKind::Gss { min_chunk: 1 }, 2, 0).traced();
-        cfg.transport = Transport::Tcp;
+        cfg.transport = Transport::TcpEvented;
         let out = run_scheduled_loop(&cfg, Arc::clone(&w));
         let trace = out.trace.expect("tracing was on");
         assert_eq!(trace.meta.clock, ClockDomain::Monotonic);
@@ -574,7 +514,10 @@ mod tests {
     fn crashing_worker_does_not_stop_the_loop() {
         let w = Arc::new(UniformLoop::new(120, 400));
         let mut cfg = HarnessConfig::paper_mix(SchemeKind::Css { k: 10 }, 2, 0);
-        cfg.workers.push(WorkerSpec::failing_after(1));
+        // Crash on the first grant, not the second: over channels the
+        // master starts serving before every worker has asked, so a
+        // later crash point lets the fast peers drain the loop first.
+        cfg.workers.push(WorkerSpec::failing_after(0));
         let out = run_scheduled_loop(&cfg, Arc::clone(&w));
         assert_eq!(out.results.len(), 120);
         for i in 0..120u64 {

@@ -11,15 +11,17 @@
 //!   interval or a terminate notice.
 //! - [`transport`] — message transports: in-process std-mpsc
 //!   [`transport::channels`] (the default; "MPI bindings thin,
-//!   channels/tcp workable") and localhost [`transport::tcp`] with
-//!   length-prefixed frames, demonstrating the same protocol across a
-//!   real socket. Both support timed receives, piggy-backed heartbeats
-//!   and worker-initiated reconnection.
+//!   channels/tcp workable") and localhost TCP with length-prefixed
+//!   frames, demonstrating the same protocol across a real socket
+//!   (workers dial with [`transport::tcp::TcpWorker`]; the master's
+//!   side runs on one epoll reactor, [`transport::evented`]). Both
+//!   support timed receives, piggy-backed heartbeats and
+//!   worker-initiated reconnection.
 //! - [`worker`] / [`master`] — the two loop roles, directly mirroring
-//!   the paper's slave/master algorithms (§3.1), plus the self-healing
+//!   the paper's slave/master algorithms (§3.1): the worker with chaos
+//!   injection driven by [`lss_core::FaultPlan`], and the self-healing
 //!   [`master::run_resilient_master`] loop (chunk leases, speculative
-//!   re-execution, first-result-wins dedup) and chaos injection in the
-//!   worker driven by [`lss_core::FaultPlan`].
+//!   re-execution, first-result-wins dedup).
 //! - [`backoff`] — capped exponential backoff with jitter, shared by
 //!   retry pacing and link redialling.
 //! - [`load`] — heterogeneity and non-dedication emulation: a worker
@@ -49,10 +51,7 @@ pub mod worker;
 pub use backoff::BackoffPolicy;
 pub use harness::{run_scheduled_loop, HarnessConfig, HarnessOutcome, Transport, WorkerSpec};
 pub use load::LoadState;
-pub use master::{
-    run_master, run_resilient_master, run_resilient_master_traced, MasterOutcome,
-    ResilientOutcome,
-};
+pub use master::{run_resilient_master, ResilientOutcome};
 pub use shard::{
     run_sharded_loop, run_sharded_master, ShardHarnessConfig, ShardHarnessOutcome,
 };

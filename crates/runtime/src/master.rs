@@ -2,23 +2,15 @@
 //! accepts requests from the slaves and services them in the order of
 //! their arrival"), collecting piggy-backed results as they come in.
 //!
-//! Two loops live here:
-//!
-//! - [`run_master`] — the original loop: tolerates worker *disconnects*
-//!   (requeues their chunks) but treats protocol anomalies such as
-//!   duplicate results as hard errors. Kept for strict tests and as
-//!   the baseline the fault-tolerant loop is measured against.
-//! - [`run_resilient_master`] — the self-healing loop: chunk leases
-//!   with deadline-driven requeue, heartbeat liveness, speculative
-//!   re-execution near the end of the loop, first-result-wins dedup,
-//!   and reconnect handling — every recovery decision recorded in a
-//!   typed [`FaultLog`]. The paper's MPI implementation dies with any
-//!   slave; this loop finishes the loop as long as *one* worker
-//!   survives.
+//! [`run_resilient_master`] is the self-healing loop: chunk leases with
+//! deadline-driven requeue, heartbeat liveness, speculative
+//! re-execution near the end of the loop, first-result-wins dedup, and
+//! reconnect handling — every recovery decision recorded in a typed
+//! [`FaultLog`]. The paper's MPI implementation dies with any slave;
+//! this loop finishes the loop as long as *one* worker survives.
 
 use std::time::{Duration, Instant};
 
-use lss_core::chunk::Chunk;
 use lss_core::master::{Assignment, Master};
 use lss_metrics::{FaultEvent, FaultKind, FaultLog};
 use lss_trace::{EventKind as TraceKind, SharedSink, TraceEvent};
@@ -37,124 +29,6 @@ fn log_fault(faults: &mut FaultLog, trace: &SharedSink, ev: FaultEvent) {
         }
     }
     faults.push(ev);
-}
-
-/// What the master loop produced.
-#[derive(Debug)]
-pub struct MasterOutcome {
-    /// Collected per-iteration results (`None` = never received — only
-    /// possible when failures made the loop uncompletable).
-    pub results: Vec<Option<u64>>,
-    /// Requests served, including retries and terminations.
-    pub requests_served: u64,
-    /// Workers that disconnected without being told to terminate.
-    pub failed_workers: Vec<usize>,
-}
-
-/// Runs the master until every one of the `p` workers has been told to
-/// terminate or has disconnected. Results are collected by iteration
-/// index; chunks held by failed workers are re-granted to survivors.
-pub fn run_master<T: MasterTransport>(
-    mut transport: T,
-    master: &mut Master,
-    p: usize,
-) -> Result<MasterOutcome, TransportError> {
-    assert!(p >= 1, "need at least one worker");
-    let mut results: Vec<Option<u64>> = vec![None; master.total() as usize];
-    let mut requests_served = 0u64;
-    let mut gone = vec![false; p]; // terminated or disconnected
-    let mut gone_count = 0usize;
-    let mut outstanding: Vec<Option<Chunk>> = vec![None; p];
-    let mut failed_workers = Vec::new();
-
-    let mark_gone = |w: usize,
-                         gone: &mut Vec<bool>,
-                         gone_count: &mut usize| {
-        if !gone[w] {
-            gone[w] = true;
-            *gone_count += 1;
-        }
-    };
-
-    while gone_count < p {
-        match transport.recv()? {
-            Inbound::Heartbeat { .. } | Inbound::Reconnected(_) => {
-                // The strict loop predates leases: liveness signals and
-                // reconnects carry no information it acts on.
-            }
-            Inbound::Disconnected(w) => {
-                if w >= p {
-                    return Err(TransportError::UnknownWorker(w));
-                }
-                if !gone[w] {
-                    failed_workers.push(w);
-                    mark_gone(w, &mut gone, &mut gone_count);
-                    if let Some(chunk) = outstanding[w].take() {
-                        master.requeue(chunk);
-                    }
-                }
-            }
-            Inbound::Request(req) => {
-                requests_served += 1;
-                if req.worker >= p {
-                    return Err(TransportError::UnknownWorker(req.worker));
-                }
-                if let Some(res) = &req.result {
-                    for (offset, &v) in res.values.iter().enumerate() {
-                        let idx = (res.chunk.start as usize) + offset;
-                        if idx >= results.len() {
-                            return Err(TransportError::Malformed(format!(
-                                "result for out-of-range iteration {idx}"
-                            )));
-                        }
-                        if results[idx].is_some() {
-                            return Err(TransportError::Malformed(format!(
-                                "duplicate result for iteration {idx}"
-                            )));
-                        }
-                        results[idx] = Some(v);
-                    }
-                    // The worker has proven it completed its chunk.
-                    outstanding[req.worker] = None;
-                }
-                let mut assignment = master.handle_request(req.worker, req.q);
-                // Hold the completion barrier: while any *other* worker
-                // still owes results, keep this one available (its next
-                // retry can absorb a requeued chunk if that worker dies).
-                if assignment == Assignment::Finished
-                    && outstanding.iter().any(|o| o.is_some())
-                {
-                    assignment = Assignment::Retry;
-                }
-                if let Assignment::Chunk(c) = assignment {
-                    outstanding[req.worker] = Some(c);
-                }
-                if assignment == Assignment::Finished {
-                    mark_gone(req.worker, &mut gone, &mut gone_count);
-                }
-                if let Err(e) = transport.send(req.worker, Reply { assignment }) {
-                    // The worker vanished between request and reply:
-                    // reclaim whatever we just granted it.
-                    if let Some(chunk) = outstanding[req.worker].take() {
-                        master.requeue(chunk);
-                    }
-                    if !gone[req.worker] {
-                        failed_workers.push(req.worker);
-                        mark_gone(req.worker, &mut gone, &mut gone_count);
-                    }
-                    // Only fatal if nobody is left to finish the loop.
-                    if gone_count == p {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-    }
-    Ok(MasterOutcome {
-        results,
-        requests_served,
-        failed_workers,
-    })
 }
 
 /// What the fault-tolerant master loop produced.
@@ -187,25 +61,15 @@ pub struct ResilientOutcome {
 /// `poll_interval` bounds how long the loop sleeps without checking
 /// leases; the effective wake-up is the earlier of it and the next
 /// lease deadline.
-pub fn run_resilient_master<T: MasterTransport>(
-    transport: T,
-    master: &mut Master,
-    p: usize,
-    poll_interval: Duration,
-) -> Result<ResilientOutcome, TransportError> {
-    run_resilient_master_traced(transport, master, p, poll_interval, SharedSink::disabled())
-}
-
-/// [`run_resilient_master`] with a trace sink attached: the full chunk
-/// lifecycle (grants, starts, completions, lapses, requeues, dedups)
-/// plus worker membership and heartbeats land on one timeline.
 ///
+/// `trace` receives the full chunk lifecycle (grants, starts,
+/// completions, lapses, requeues, dedups) plus worker membership and
+/// heartbeats on one timeline; [`SharedSink::disabled`] runs untraced.
 /// When `trace` is enabled its epoch becomes the loop's time base, so
 /// master-side events share the clock of every worker thread stamping
 /// through clones of the same sink; the core [`Master`] is given the
-/// sink too and emits the lease-path lifecycle events itself. With a
-/// disabled sink this is exactly the untraced loop.
-pub fn run_resilient_master_traced<T: MasterTransport>(
+/// sink too and emits the lease-path lifecycle events itself.
+pub fn run_resilient_master<T: MasterTransport>(
     mut transport: T,
     master: &mut Master,
     p: usize,
@@ -476,128 +340,6 @@ mod tests {
     use lss_core::master::{MasterConfig, SchemeKind};
     use lss_core::Master;
 
-    #[test]
-    fn master_drives_two_scripted_workers() {
-        let (mt, workers) = channel_transport(2);
-        let mut master = Master::new(MasterConfig::homogeneous(SchemeKind::Css { k: 3 }, 12, 2));
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut w)| {
-                std::thread::spawn(move || {
-                    let mut result = None;
-                    let mut iters = 0u64;
-                    loop {
-                        w.send_request(Request { worker: i, q: 1, result: result.take() })
-                            .unwrap();
-                        match w.recv_reply().unwrap().assignment {
-                            Assignment::Chunk(c) => {
-                                iters += c.len;
-                                let values = c.iter().map(|x| x * 10).collect();
-                                result = Some(ChunkResult::new(c, values));
-                            }
-                            Assignment::Retry => {}
-                            Assignment::Finished => return iters,
-                        }
-                    }
-                })
-            })
-            .collect();
-        let outcome = run_master(mt, &mut master, 2).unwrap();
-        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, 12);
-        assert!(outcome.failed_workers.is_empty());
-        // Every iteration's result arrived exactly once, value = 10·i.
-        for (i, r) in outcome.results.iter().enumerate() {
-            assert_eq!(*r, Some(i as u64 * 10));
-        }
-        assert!(outcome.requests_served >= 6);
-    }
-
-    #[test]
-    fn duplicate_result_detected() {
-        let (mt, mut workers) = channel_transport(1);
-        let mut master = Master::new(MasterConfig::homogeneous(SchemeKind::Pure, 4, 1));
-        let w = std::thread::spawn(move || {
-            let t = &mut workers[0];
-            // Claim a result for iteration 0 twice.
-            let res = || ChunkResult::new(lss_core::Chunk::new(0, 1), vec![5]);
-            t.send_request(Request { worker: 0, q: 1, result: Some(res()) }).unwrap();
-            let _ = t.recv_reply();
-            t.send_request(Request { worker: 0, q: 1, result: Some(res()) }).unwrap();
-            let _ = t.recv_reply();
-        });
-        let err = run_master(mt, &mut master, 1);
-        assert!(err.is_err());
-        let _ = w.join();
-    }
-
-    #[test]
-    fn dead_workers_chunk_is_regranted() {
-        let (mt, mut workers) = channel_transport(2);
-        let mut master = Master::new(MasterConfig::homogeneous(SchemeKind::Css { k: 5 }, 20, 2));
-        // Worker 1: requests once, gets a chunk, then dies holding it.
-        let dying = workers.pop().unwrap();
-        let d = std::thread::spawn(move || {
-            let mut t = dying;
-            t.send_request(Request { worker: 1, q: 1, result: None }).unwrap();
-            let r = t.recv_reply().unwrap();
-            assert!(matches!(r.assignment, Assignment::Chunk(_)));
-            // Dropping the endpoints = crash.
-        });
-        // Worker 0: does everything it is given.
-        let survivor = std::thread::spawn({
-            let mut t = workers.pop().unwrap();
-            move || {
-                let mut result = None;
-                let mut iters = 0u64;
-                loop {
-                    t.send_request(Request { worker: 0, q: 1, result: result.take() }).unwrap();
-                    match t.recv_reply().unwrap().assignment {
-                        Assignment::Chunk(c) => {
-                            iters += c.len;
-                            let values = c.iter().map(|x| x + 1).collect();
-                            result = Some(ChunkResult::new(c, values));
-                        }
-                        Assignment::Retry => std::thread::sleep(
-                            std::time::Duration::from_millis(1),
-                        ),
-                        Assignment::Finished => return iters,
-                    }
-                }
-            }
-        });
-        let outcome = run_master(mt, &mut master, 2).unwrap();
-        d.join().unwrap();
-        let survivor_iters = survivor.join().unwrap();
-        // The survivor computed the whole loop, including the dead
-        // worker's requeued chunk.
-        assert_eq!(survivor_iters, 20);
-        assert_eq!(outcome.failed_workers, vec![1]);
-        for (i, r) in outcome.results.iter().enumerate() {
-            assert_eq!(*r, Some(i as u64 + 1), "iteration {i}");
-        }
-    }
-
-    #[test]
-    fn all_workers_dying_is_an_error_with_work_left() {
-        let (mt, workers) = channel_transport(1);
-        let mut master = Master::new(MasterConfig::homogeneous(SchemeKind::Css { k: 5 }, 20, 1));
-        let d = std::thread::spawn(move || {
-            let mut t = workers.into_iter().next().unwrap();
-            t.send_request(Request { worker: 0, q: 1, result: None }).unwrap();
-            let _ = t.recv_reply();
-        });
-        let outcome = run_master(mt, &mut master, 1).unwrap();
-        d.join().unwrap();
-        // The lone worker died holding a chunk: the loop could not
-        // complete; the outcome says so.
-        assert_eq!(outcome.failed_workers, vec![0]);
-        assert!(outcome.results.iter().any(|r| r.is_none()));
-    }
-
-    // ---- resilient loop ----
-
     fn drive_worker(
         mut t: impl WorkerTransport + 'static,
         id: usize,
@@ -633,7 +375,8 @@ mod tests {
             .map(|(i, w)| drive_worker(w, i))
             .collect();
         let out =
-            run_resilient_master(mt, &mut master, 3, Duration::from_millis(5)).unwrap();
+            run_resilient_master(mt, &mut master, 3, Duration::from_millis(5), SharedSink::disabled())
+                .unwrap();
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(total, 300, "no duplicated compute in a healthy run");
         assert!(out.failed_workers.is_empty());
@@ -660,7 +403,8 @@ mod tests {
         });
         let survivor = drive_worker(workers.pop().unwrap(), 0);
         let out =
-            run_resilient_master(mt, &mut master, 2, Duration::from_millis(2)).unwrap();
+            run_resilient_master(mt, &mut master, 2, Duration::from_millis(2), SharedSink::disabled())
+                .unwrap();
         d.join().unwrap();
         let iters = survivor.join().unwrap();
         assert_eq!(iters, 60, "survivor absorbed the crashed worker's chunk");
@@ -681,7 +425,8 @@ mod tests {
             let _ = t.recv_reply();
         });
         let out =
-            run_resilient_master(mt, &mut master, 1, Duration::from_millis(2)).unwrap();
+            run_resilient_master(mt, &mut master, 1, Duration::from_millis(2), SharedSink::disabled())
+                .unwrap();
         d.join().unwrap();
         assert_eq!(out.failed_workers, vec![0]);
         assert!(out.results.iter().any(|r| r.is_none()), "partial results reported");

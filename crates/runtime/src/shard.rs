@@ -4,7 +4,7 @@
 //! Two pieces live here:
 //!
 //! - [`run_sharded_master`] — the fault-tolerant master loop of
-//!   [`crate::master::run_resilient_master_traced`] re-targeted at an
+//!   [`crate::master::run_resilient_master`] re-targeted at an
 //!   [`lss_shard::ShardSet`]: same inbound protocol, same fault log,
 //!   same termination contract, but grants fan out across shards (with
 //!   work-stealing) instead of funnelling through one dispenser.
@@ -35,7 +35,7 @@ use crate::master::ResilientOutcome;
 use crate::protocol::{ChunkResult, Reply, Request};
 use crate::transport::channels::channel_transport;
 use crate::transport::evented::evented_listen;
-use crate::transport::tcp::{tcp_listen, TcpWorker};
+use crate::transport::tcp::TcpWorker;
 use crate::transport::{Inbound, MasterTransport, TransportError, WorkerTransport};
 use crate::worker::{run_worker, WorkerConfig};
 
@@ -52,7 +52,7 @@ fn log_fault(faults: &mut FaultLog, trace: &SharedSink, ev: FaultEvent) {
 
 /// Runs the sharded master until every iteration is complete and every
 /// worker is finished, gone, or given up on — the same contract as
-/// [`crate::master::run_resilient_master_traced`], with grants served
+/// [`crate::master::run_resilient_master`], with grants served
 /// by the [`ShardSet`] (home shard → steal → reclaim → speculate).
 ///
 /// The set must have been built with the same `trace` sink, so shard
@@ -589,15 +589,7 @@ pub fn run_sharded_loop<W: Workload + 'static>(
         })
         .collect();
 
-    // A worker with an injected fault may legitimately end in a
-    // transport error; a healthy worker may not.
-    let finish = |id: usize, res: Result<u64, TransportError>| match res {
-        Ok(iters) => iters,
-        Err(_) if !cfg.workers[id].fault.is_healthy() => 0,
-        Err(e) => panic!("healthy worker {id} failed: {e}"),
-    };
-
-    let outcome = match cfg.transport {
+    let (outcome, handles) = match cfg.transport {
         Transport::Channels => {
             let (mt, wts) = channel_transport(p);
             let handles: Vec<_> = wts
@@ -615,40 +607,11 @@ pub fn run_sharded_loop<W: Workload + 'static>(
                 .collect();
             let outcome = run_sharded_master(mt, &set, cfg.poll_interval, cfg.trace.clone())
                 .expect("master failed");
-            for h in handles {
-                let (id, res) = h.join().expect("worker panicked");
-                finish(id, res);
-            }
-            outcome
+            (outcome, handles)
         }
-        Transport::Tcp | Transport::TcpEvented => {
-            type AcceptFn = Box<
-                dyn FnOnce(usize) -> Result<Box<dyn MasterTransport>, TransportError>,
-            >;
-            let (addr, accept): (std::net::SocketAddr, AcceptFn) =
-                if cfg.transport == Transport::Tcp {
-                    let listener = tcp_listen().expect("listen failed");
-                    let addr = listener.addr;
-                    (
-                        addr,
-                        Box::new(move |p| {
-                            listener
-                                .accept_workers(p)
-                                .map(|m| Box::new(m) as Box<dyn MasterTransport>)
-                        }),
-                    )
-                } else {
-                    let listener = evented_listen().expect("listen failed");
-                    let addr = listener.addr;
-                    (
-                        addr,
-                        Box::new(move |p| {
-                            listener
-                                .accept_workers(p)
-                                .map(|m| Box::new(m) as Box<dyn MasterTransport>)
-                        }),
-                    )
-                };
+        Transport::TcpEvented => {
+            let listener = evented_listen().expect("listen failed");
+            let addr = listener.addr;
             let handles: Vec<_> = worker_cfgs
                 .into_iter()
                 .map(|wcfg| {
@@ -666,16 +629,19 @@ pub fn run_sharded_loop<W: Workload + 'static>(
                     })
                 })
                 .collect();
-            let mt = accept(p).expect("accept failed");
+            let mt = listener.accept_workers(p).expect("accept failed");
             let outcome = run_sharded_master(mt, &set, cfg.poll_interval, cfg.trace.clone())
                 .expect("master failed");
-            for h in handles {
-                let (id, res) = h.join().expect("worker panicked");
-                finish(id, res);
-            }
-            outcome
+            (outcome, handles)
         }
     };
+    // A worker with an injected fault may legitimately end in a
+    // transport error; a healthy worker may not.
+    for h in handles {
+        if let (id, Err(e)) = h.join().expect("worker panicked") {
+            assert!(!cfg.workers[id].fault.is_healthy(), "healthy worker {id} failed: {e}");
+        }
+    }
 
     let results: Vec<u64> = outcome
         .results
@@ -771,7 +737,7 @@ mod tests {
             2,
             vec![WorkerSpec::fast(), WorkerSpec::fast()],
         );
-        cfg.transport = Transport::Tcp;
+        cfg.transport = Transport::TcpEvented;
         let out = run_sharded_loop(&cfg, Arc::clone(&w));
         assert_eq!(out.results.len(), 120);
         for i in 0..120u64 {
@@ -788,7 +754,7 @@ mod tests {
             2,
             vec![WorkerSpec::fast(), WorkerSpec::fast()],
         );
-        cfg.transport = Transport::Tcp;
+        cfg.transport = Transport::TcpEvented;
         let out = run_sharded_loop(&cfg, Arc::clone(&w));
         assert_eq!(out.results.len(), 150);
         for i in 0..150u64 {
@@ -803,7 +769,11 @@ mod tests {
         let mut cfg = ShardHarnessConfig::new(
             SchemeKind::Css { k: 10 },
             2,
-            vec![WorkerSpec::fast(), WorkerSpec::fast(), WorkerSpec::failing_after(1)],
+            // Crash on the first grant, not the second: over channels
+            // the master starts serving before every worker has asked,
+            // so a later crash point lets the fast peers drain the loop
+            // first.
+            vec![WorkerSpec::fast(), WorkerSpec::fast(), WorkerSpec::failing_after(0)],
         );
         cfg.lease = tight_lease();
         let out = run_sharded_loop(&cfg, Arc::clone(&w));
@@ -821,7 +791,10 @@ mod tests {
         let mut cfg = ShardHarnessConfig::self_sched(
             SchemeKind::Css { k: 10 },
             2,
-            vec![WorkerSpec::fast(), WorkerSpec::fast(), WorkerSpec::failing_after(1)],
+            // Crash on the first claim, not the second, so the crash
+            // fires unless the fast peers claim every chunk before
+            // worker 2 claims its first.
+            vec![WorkerSpec::fast(), WorkerSpec::fast(), WorkerSpec::failing_after(0)],
         );
         cfg.lease = tight_lease();
         let out = run_sharded_loop(&cfg, Arc::clone(&w));

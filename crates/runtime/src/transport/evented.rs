@@ -1,23 +1,25 @@
-//! Evented master transport: one reactor thread, every worker socket.
+//! The master's side of the TCP transport: one reactor thread, every
+//! worker socket.
 //!
-//! Same wire protocol as [`super::tcp`] — length-prefixed frames
-//! carrying [`WireMsg`] — but the master side holds all connections in
-//! a single epoll loop (`lss-reactor`) instead of a thread per
-//! connection. Workers are oblivious: [`super::tcp::TcpWorker`] dials
-//! either master unchanged, and the harness swaps backends behind the
-//! [`MasterTransport`] seam.
+//! Workers dial with [`super::tcp::TcpWorker`] and speak length-prefixed
+//! frames carrying [`WireMsg`]. The master side holds all connections
+//! in a single epoll loop (`lss-reactor`), so a thousand workers cost a
+//! thousand map entries, not a thousand parked threads.
 //!
 //! Structure: the reactor thread owns the listener and every
-//! [`FramedConn`]; decoded messages flow out through the same mpsc
-//! inbox the blocking master uses, and replies flow in through a
-//! mutex-guarded outbox plus a [`Waker`] nudge. The deadline
-//! discipline is identical to the fixed blocking backend — handshakes
-//! get 10 s, established connections get an idle deadline — but here a
-//! half-open socket costs one map entry, not a parked thread.
+//! [`FramedConn`]; decoded messages flow out through an mpsc inbox, in
+//! arrival order, and replies flow in through a mutex-guarded outbox
+//! plus a [`Waker`] nudge. Every connection carries a deadline:
+//! handshakes get 10 s, established connections get an idle deadline,
+//! so a half-open socket is cut and reported as
+//! [`Inbound::Disconnected`] instead of being trusted forever. The
+//! reactor keeps accepting for the master's whole lifetime, so a worker
+//! whose connection died can redial and re-handshake under the same
+//! worker id.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -26,15 +28,21 @@ use std::time::{Duration, Instant};
 
 use lss_reactor::{FramedConn, Interest, Poller, Readiness, Waker};
 
-use super::tcp::DEFAULT_IDLE_DEADLINE;
+use super::tcp::{tcp_listen_on, TcpListenerHandle};
 use super::{Inbound, MasterTransport, TransportError};
 use crate::protocol::{Reply, WireMsg};
 
 /// The listener's registration token; connections count up from 1.
 const LISTENER_TOKEN: u64 = 0;
 
+/// How long an established connection may stay completely silent
+/// before it is declared half-open and dropped. Workers heartbeat
+/// every 100 ms while computing (the harness default), so a healthy
+/// link is never remotely close to this.
+pub const DEFAULT_IDLE_DEADLINE: Duration = Duration::from_secs(30);
+
 /// A connection that never completes its hello within this window is
-/// dropped (same budget as the blocking acceptor's handshake read).
+/// dropped.
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Upper bound on one `epoll_wait`: the reactor wakes at least this
@@ -132,30 +140,14 @@ impl MasterTransport for EventedTcpMaster {
     }
 }
 
-/// Binds a listener for the evented master; workers dial `addr` with
-/// the ordinary blocking [`super::tcp::TcpWorker`].
-pub struct EventedListenerHandle {
-    listener: TcpListener,
-    /// The address workers should dial.
-    pub addr: SocketAddr,
+/// Starts listening on an ephemeral localhost port for an evented
+/// master; workers dial the handle's `addr` with
+/// [`super::tcp::TcpWorker`].
+pub fn evented_listen() -> Result<TcpListenerHandle, TransportError> {
+    tcp_listen_on("127.0.0.1", 0)
 }
 
-/// Starts listening on an ephemeral localhost port.
-pub fn evented_listen() -> Result<EventedListenerHandle, TransportError> {
-    evented_listen_on("127.0.0.1", 0)
-}
-
-/// Starts listening on an explicit host/port (0 = ephemeral).
-pub fn evented_listen_on(host: &str, port: u16) -> Result<EventedListenerHandle, TransportError> {
-    let listener = TcpListener::bind((host, port))
-        .map_err(|e| TransportError::Io(format!("bind {host}:{port} failed: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| TransportError::Io(format!("no local addr: {e}")))?;
-    Ok(EventedListenerHandle { listener, addr })
-}
-
-impl EventedListenerHandle {
+impl TcpListenerHandle {
     /// Builds the evented master and waits until all `p` workers have
     /// connected and handshaken. The reactor keeps accepting for the
     /// master's lifetime, so workers may redial mid-run.
@@ -163,8 +155,8 @@ impl EventedListenerHandle {
         self.accept_workers_within(p, Duration::from_secs(30))
     }
 
-    /// [`EventedListenerHandle::accept_workers`] with an explicit
-    /// deadline for the initial full complement.
+    /// [`TcpListenerHandle::accept_workers`] with an explicit deadline
+    /// for the initial full complement.
     pub fn accept_workers_within(
         self,
         p: usize,
@@ -184,10 +176,11 @@ impl EventedListenerHandle {
     ) -> Result<EventedTcpMaster, TransportError> {
         assert!(p >= 1, "need at least one worker");
         let io = |e: std::io::Error| TransportError::Io(e.to_string());
-        self.listener.set_nonblocking(true).map_err(io)?;
+        let listener = self.into_listener();
+        listener.set_nonblocking(true).map_err(io)?;
         let poller = Poller::new().map_err(io)?;
         poller
-            .register(self.listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
             .map_err(io)?;
         let waker = poller.waker();
         let (tx, rx) = channel::<Inbound>();
@@ -200,7 +193,6 @@ impl EventedListenerHandle {
         });
         let reactor = {
             let shared = Arc::clone(&shared);
-            let listener = self.listener;
             std::thread::spawn(move || {
                 Reactor {
                     poller,
@@ -272,9 +264,9 @@ struct Reactor {
     tx: Sender<Inbound>,
     shared: Arc<EvShared>,
     conns: HashMap<u64, Conn>,
-    /// Token of each worker's *current* connection. The token plays
-    /// the role of the blocking transport's generation number: a stale
-    /// connection dying later no longer matches and stays silent.
+    /// Token of each worker's *current* connection. The token acts as
+    /// a connection generation: a stale connection dying later no
+    /// longer matches and stays silent.
     worker_conn: Vec<Option<u64>>,
     ever_connected: Vec<bool>,
     next_token: u64,
@@ -388,7 +380,7 @@ impl Reactor {
         };
         match (state_id, msg) {
             // The hello: first frame must be a request naming a valid
-            // worker id (the blocking acceptor's handshake, evented).
+            // worker id.
             (None, WireMsg::Request(req)) => {
                 if req.worker >= self.p {
                     return false;
@@ -621,9 +613,9 @@ mod tests {
 
     #[test]
     fn evented_half_open_worker_is_disconnected() {
-        // The reactor-side twin of the blocking regression: handshake,
-        // then silence → typed Disconnected via the idle deadline, and
-        // no thread anywhere is stuck (the reactor keeps looping).
+        // Handshake, then silence → typed Disconnected via the idle
+        // deadline, and no thread anywhere is stuck (the reactor keeps
+        // looping).
         let handle = evented_listen().unwrap();
         let addr = handle.addr;
         let silent = std::thread::spawn(move || {
@@ -731,5 +723,122 @@ mod tests {
         }
         assert!(t0.elapsed() < Duration::from_secs(5));
         assert!(TcpStream::connect(addr).is_err(), "reactor still alive after timeout teardown");
+    }
+
+    #[test]
+    fn bad_handshake_id_is_ignored_but_good_one_accepted() {
+        let handle = evented_listen().unwrap();
+        let addr = handle.addr;
+        let bad = std::thread::spawn(move || {
+            // Claims worker id 9 but only 1 slot exists: the reactor
+            // drops the connection and keeps serving.
+            let _ = TcpWorker::connect(addr, Request { worker: 9, q: 1, result: None });
+        });
+        let good = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            let mut w =
+                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+            w.recv_reply().unwrap()
+        });
+        let mut master = handle.accept_workers(1).unwrap();
+        let req = next_request(&mut master);
+        assert_eq!(req.worker, 0);
+        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
+        assert_eq!(good.join().unwrap().assignment, Assignment::Finished);
+        bad.join().unwrap();
+    }
+
+    #[test]
+    fn heartbeats_flow_to_master() {
+        let handle = evented_listen().unwrap();
+        let addr = handle.addr;
+        let t = std::thread::spawn(move || {
+            let mut w =
+                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+            w.send_heartbeat(0).unwrap();
+            w.recv_reply().unwrap()
+        });
+        let mut master = handle.accept_workers(1).unwrap();
+        let mut saw_heartbeat = false;
+        loop {
+            match master.recv().unwrap() {
+                Inbound::Heartbeat { worker } => {
+                    assert_eq!(worker, 0);
+                    saw_heartbeat = true;
+                }
+                Inbound::Request(_) => {
+                    master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
+                    if saw_heartbeat {
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            if saw_heartbeat {
+                break;
+            }
+        }
+        t.join().unwrap();
+        assert!(saw_heartbeat);
+    }
+
+    #[test]
+    fn reply_timeout_preserves_partial_frames() {
+        let handle = evented_listen().unwrap();
+        let addr = handle.addr;
+        let t = std::thread::spawn(move || {
+            let mut w =
+                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+            // Nothing sent yet: timed wait returns None.
+            assert_eq!(w.recv_reply_timeout(Duration::from_millis(20)).unwrap(), None);
+            // Then a real reply arrives.
+            let r = w.recv_reply_timeout(Duration::from_secs(5)).unwrap();
+            r.unwrap()
+        });
+        let mut master = handle.accept_workers(1).unwrap();
+        let _ = next_request(&mut master);
+        std::thread::sleep(Duration::from_millis(40));
+        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
+        assert_eq!(t.join().unwrap().assignment, Assignment::Finished);
+    }
+
+    #[test]
+    fn explicit_shutdown_unblocks_workers() {
+        let handle = evented_listen().unwrap();
+        let addr = handle.addr;
+        let t = std::thread::spawn(move || {
+            let mut w =
+                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+            // Blocks until the master shuts down; must observe a typed
+            // disconnect, not hang.
+            w.recv_reply()
+        });
+        let mut master = handle.accept_workers(1).unwrap();
+        let _ = next_request(&mut master);
+        master.shutdown();
+        let err = t.join().unwrap().unwrap_err();
+        assert!(err.is_disconnect(), "{err:?}");
+        // Sends after shutdown fail fast.
+        assert!(master.send(0, Reply { assignment: Assignment::Retry }).is_err());
+    }
+
+    #[test]
+    fn accept_timeout_tears_down_partial_connections() {
+        let handle = evented_listen().unwrap();
+        let addr = handle.addr;
+        // One of two workers connects; the accept deadline expires.
+        let t = std::thread::spawn(move || {
+            let mut w =
+                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
+            w.recv_reply()
+        });
+        match handle.accept_workers_within(2, Duration::from_millis(200)) {
+            Err(TransportError::Io(_)) => {}
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok(_) => panic!("accept should have timed out"),
+        }
+        // The teardown closed the connected worker's socket, so its
+        // blocked read observes EOF instead of parking forever.
+        assert!(t.join().unwrap().is_err());
     }
 }

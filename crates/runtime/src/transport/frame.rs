@@ -31,8 +31,8 @@ pub fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> Result<(), Transpo
     stream.flush().map_err(io)
 }
 
-/// Blocking whole-frame read (used by reader threads, which own their
-/// stream and want to park in `read`).
+/// Blocking whole-frame read, for a peer that owns its stream and may
+/// park in `read` (tests that speak the wire protocol by hand).
 pub fn read_frame_blocking(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
     let mut len_buf = [0u8; 4];
     stream.read_exact(&mut len_buf)?;

@@ -5,14 +5,12 @@
 //!
 //! - [`channels`] — std mpsc channels within one process (fast,
 //!   deterministic; the default for tests and benches);
-//! - [`tcp`] — localhost TCP sockets with length-prefixed frames
-//!   (demonstrates the protocol across a real network stack, standing
-//!   in for the paper's MPI-over-Ethernet);
-//! - [`evented`] — the same wire protocol with the master's side run
-//!   on a single epoll reactor thread instead of a thread per
-//!   connection (scales to thousands of sockets).
+//! - TCP sockets with length-prefixed frames ([`frame`]), standing in
+//!   for the paper's MPI-over-Ethernet: workers dial with
+//!   [`tcp::TcpWorker`], and the master's side of every connection
+//!   runs on a single epoll reactor thread ([`evented`]).
 //!
-//! All support the fault-tolerant protocol extensions: timed receives
+//! Both support the fault-tolerant protocol extensions: timed receives
 //! (so the master can poll chunk leases), piggy-backed heartbeats, and
 //! worker-initiated reconnection after a disconnect.
 
@@ -129,22 +127,6 @@ pub trait MasterTransport: Send {
     /// (e.g. it died between request and reply) must not poison the
     /// transport for the others.
     fn send(&mut self, worker: usize, reply: Reply) -> Result<(), TransportError>;
-}
-
-/// Boxed masters forward the trait — lets callers pick a backend at
-/// runtime (the harness's transport switch) behind one seam.
-impl MasterTransport for Box<dyn MasterTransport> {
-    fn recv(&mut self) -> Result<Inbound, TransportError> {
-        (**self).recv()
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Inbound>, TransportError> {
-        (**self).recv_timeout(timeout)
-    }
-
-    fn send(&mut self, worker: usize, reply: Reply) -> Result<(), TransportError> {
-        (**self).send(worker, reply)
-    }
 }
 
 /// A worker's view: send requests, await replies.

@@ -1,125 +1,29 @@
-//! Localhost TCP transport with length-prefixed frames.
+//! Worker side of the localhost TCP transport, plus the bind helper.
 //!
-//! The master binds an ephemeral port; each worker opens one
-//! connection. Frames are `u32` big-endian length + payload, carrying
-//! the [`crate::protocol`] encodings wrapped in a [`WireMsg`] envelope
-//! (requests and heartbeats share the stream). Per-connection reader
-//! threads funnel decoded messages into one channel so the master sees
-//! the same serialized event stream as with the in-process transport —
-//! the moral equivalent of the paper's single MPI receive loop.
-//!
-//! Fault tolerance: the acceptor thread stays alive for the whole run,
-//! so a worker whose connection died (its process restarted, the
-//! network blipped) can redial and re-handshake under the same worker
-//! id. Stale disconnect notices from the replaced connection are
-//! filtered by per-connection generation numbers.
+//! Frames are `u32` big-endian length + payload, carrying the
+//! [`crate::protocol`] encodings wrapped in a [`WireMsg`] envelope
+//! (requests and heartbeats share the stream). Each worker opens one
+//! connection with [`TcpWorker`]; the master's side of every
+//! connection lives on one epoll reactor thread
+//! ([`super::evented::EventedTcpMaster`]) — the moral equivalent of
+//! the paper's single MPI receive loop.
 //!
 //! Deadline discipline: **every read carries a finite timeout**.
 //! Blocking semantics come from looping over timed slices, never from
-//! an unbounded `read` — a peer that goes half-open (no FIN, no RST,
-//! just silence) trips the idle deadline instead of parking a thread
-//! forever. Shutdown of the blocking accept loop is a self-connect
-//! kick: `begin_shutdown` dials the listener once so `accept` returns
-//! and observes the stop flag with zero real inbound connections.
+//! an unbounded `read`, so a dead master surfaces as EOF or reset on
+//! the next slice instead of parking the worker forever.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use super::frame::{fill_from, read_frame_blocking, write_frame, FrameBuf};
-use super::{Inbound, MasterTransport, TransportError, WorkerTransport};
+use super::frame::{fill_from, write_frame, FrameBuf};
+use super::{TransportError, WorkerTransport};
 use crate::protocol::{Reply, Request, WireMsg};
 
-/// Timeout slice for reader threads and the worker's blocking receive:
-/// every `read` syscall is bounded by this, and blocking behaviour is a
-/// loop over slices (checking shutdown flags between them).
+/// Timeout slice for the worker's blocking receive: every `read`
+/// syscall is bounded by this, and blocking behaviour is a loop over
+/// slices.
 const READ_SLICE: Duration = Duration::from_millis(250);
-
-/// How long an established master-side connection may stay completely
-/// silent before it is declared half-open and dropped. Workers
-/// heartbeat every 100 ms while computing (the harness default), so a
-/// healthy link is never remotely close to this.
-pub const DEFAULT_IDLE_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Shared master-side connection state.
-struct Shared {
-    /// Write halves, indexed by worker id.
-    streams: Mutex<Vec<Option<TcpStream>>>,
-    /// Connection generation per worker; a reader thread only reports
-    /// a disconnect if its generation is still current (a replaced
-    /// connection dying later is stale news).
-    gens: Mutex<Vec<u64>>,
-    /// Count of worker ids that have connected at least once, plus the
-    /// condvar `accept_workers` waits on.
-    connected: Mutex<usize>,
-    connected_cv: Condvar,
-    /// Set when the master endpoint drops; stops the acceptor thread.
-    shutdown: AtomicBool,
-    /// The listener's own address — `begin_shutdown` dials it once so a
-    /// blocking `accept` wakes up and observes the flag.
-    addr: SocketAddr,
-    /// Silence budget for established connections (half-open cutoff).
-    idle_deadline: Duration,
-}
-
-impl Shared {
-    /// Initiates a full teardown: stops the acceptor (kicking its
-    /// blocking `accept` awake with a throwaway self-connection) and
-    /// closes every worker socket so reader threads observe EOF and
-    /// exit instead of leaking. Safe to call more than once.
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // The kick: a connect that exists only to make accept() return.
-        // If the acceptor is already gone the connect fails; either way
-        // the stream is dropped immediately.
-        let _ = TcpStream::connect(self.addr);
-        if let Ok(mut streams) = self.streams.lock() {
-            for slot in streams.iter_mut() {
-                if let Some(s) = slot.take() {
-                    let _ = s.shutdown(std::net::Shutdown::Both);
-                }
-            }
-        }
-    }
-}
-
-/// Master endpoint over TCP.
-pub struct TcpMaster {
-    inbox: Receiver<Inbound>,
-    shared: Arc<Shared>,
-    /// The acceptor thread, joined on shutdown so "shutdown complete"
-    /// means the accept loop has actually exited — not merely been
-    /// asked to.
-    acceptor: Mutex<Option<std::thread::JoinHandle<()>>>,
-}
-
-impl TcpMaster {
-    /// Gracefully shuts the endpoint down: the acceptor loop exits
-    /// (kicked awake, no inbound connection required) and every live
-    /// worker socket is closed, so blocked workers observe EOF and
-    /// their reader threads unwind instead of staying parked. When this
-    /// returns the acceptor thread has terminated. Subsequent `send`s
-    /// fail with [`TransportError::Disconnected`]. Dropping the master
-    /// does the same implicitly.
-    pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
-        let handle = self.acceptor.lock().expect("acceptor lock").take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for TcpMaster {
-    fn drop(&mut self) {
-        // Close every worker socket so blocked workers observe EOF —
-        // a hung worker's thread must still be joinable after the
-        // master gives up on it.
-        self.shutdown();
-    }
-}
 
 /// Worker endpoint over TCP.
 pub struct TcpWorker {
@@ -128,21 +32,16 @@ pub struct TcpWorker {
     addr: SocketAddr,
 }
 
-/// Binds a listener, hands out its address; workers connect via
-/// [`TcpWorker::connect`] to `addr`.
+/// A bound listener and its address. The runtime's reactor master
+/// takes it over with `accept_workers` ([`super::evented`]); the
+/// serving layer runs its own reactor on [`Self::into_listener`].
 pub struct TcpListenerHandle {
     listener: TcpListener,
     /// The address workers should dial.
     pub addr: SocketAddr,
 }
 
-/// Starts listening on an ephemeral localhost port.
-pub fn tcp_listen() -> Result<TcpListenerHandle, TransportError> {
-    tcp_listen_on("127.0.0.1", 0)
-}
-
-/// Starts listening on an explicit host/port (0 = ephemeral) — used by
-/// the `lss master` command so separate worker *processes* can dial in.
+/// Starts listening on an explicit host/port (0 = ephemeral).
 pub fn tcp_listen_on(host: &str, port: u16) -> Result<TcpListenerHandle, TransportError> {
     let listener = TcpListener::bind((host, port))
         .map_err(|e| TransportError::Io(format!("bind {host}:{port} failed: {e}")))?;
@@ -152,230 +51,10 @@ pub fn tcp_listen_on(host: &str, port: u16) -> Result<TcpListenerHandle, Transpo
     Ok(TcpListenerHandle { listener, addr })
 }
 
-/// Performs one connection handshake: reads the first frame, which must
-/// be a request identifying the worker. Returns the hello request. The
-/// 10 s read deadline set here **stays armed** — clearing it was the
-/// half-open bug: a worker that completed the hello and then went
-/// silent parked its reader thread in an unbounded `read` forever. The
-/// reader loop re-arms its own (shorter) slice immediately anyway.
-fn handshake(stream: &mut TcpStream, p: usize) -> Result<Request, TransportError> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .map_err(|e| TransportError::Io(e.to_string()))?;
-    let payload = read_frame_blocking(stream)
-        .map_err(|e| TransportError::Io(format!("handshake read failed: {e}")))?;
-    let req = match WireMsg::decode(&payload) {
-        Some(WireMsg::Request(req)) => req,
-        _ => return Err(TransportError::Malformed("malformed handshake".into())),
-    };
-    if req.worker >= p {
-        return Err(TransportError::UnknownWorker(req.worker));
-    }
-    Ok(req)
-}
-
-/// The body of a reader thread: sliced timed reads, never an unbounded
-/// one. Returns `true` when the connection ended (EOF, error, idle
-/// deadline, shutdown) and a disconnect notice may be due; `false` when
-/// the master side vanished and nobody is listening.
-fn reader_loop(stream: &mut TcpStream, tx: &Sender<Inbound>, shared: &Shared) -> bool {
-    if stream.set_read_timeout(Some(READ_SLICE)).is_err() {
-        return true;
-    }
-    let mut rbuf = FrameBuf::default();
-    let mut last_data = Instant::now();
-    loop {
-        loop {
-            match rbuf.try_extract() {
-                Ok(Some(payload)) => match WireMsg::decode(&payload) {
-                    Some(WireMsg::Request(req)) => {
-                        if tx.send(Inbound::Request(req)).is_err() {
-                            return false;
-                        }
-                    }
-                    Some(WireMsg::Heartbeat { worker }) => {
-                        if tx.send(Inbound::Heartbeat { worker }).is_err() {
-                            return false;
-                        }
-                    }
-                    None => return true, // malformed: connection is dead
-                },
-                Ok(None) => break,
-                Err(_) => return true,
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return true;
-        }
-        match fill_from(stream, &mut rbuf) {
-            Ok(true) => last_data = Instant::now(),
-            Ok(false) => {
-                // Timed-out slice: no bytes. A connection silent past
-                // the idle deadline is half-open — drop it so the
-                // master requeues the worker's lease instead of
-                // trusting a corpse.
-                if last_data.elapsed() >= shared.idle_deadline {
-                    return true;
-                }
-            }
-            Err(_) => return true,
-        }
-    }
-}
-
-/// Spawns the per-connection reader thread.
-fn spawn_reader(mut stream: TcpStream, id: usize, my_gen: u64, tx: Sender<Inbound>, shared: Arc<Shared>) {
-    std::thread::spawn(move || {
-        let ended = reader_loop(&mut stream, &tx, &shared);
-        // Only current connections get to report their death; if the
-        // worker already re-handshook, this notice is stale.
-        if ended {
-            let current = {
-                let gens = shared.gens.lock().expect("gens lock");
-                gens[id] == my_gen
-            };
-            if current {
-                let _ = tx.send(Inbound::Disconnected(id));
-            }
-        }
-    });
-}
-
-/// The acceptor loop: accepts connections (initial and re-dials) until
-/// the master shuts down. `accept` blocks — no polling sleep — and
-/// shutdown wakes it with the self-connect kick from `begin_shutdown`.
-fn acceptor_loop(listener: TcpListener, p: usize, tx: Sender<Inbound>, shared: Arc<Shared>) {
-    let mut ever_connected = vec![false; p];
-    loop {
-        let (mut stream, _) = match listener.accept() {
-            Ok(conn) => conn,
-            Err(_) => return,
-        };
-        // The kick connection (or any late arrival) lands here once the
-        // flag is up; drop it and exit.
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if stream.set_nodelay(true).is_err() {
-            continue;
-        }
-        // Handshakes are short; do them inline. A worker that connects
-        // and stalls for 10 s forfeits the slot, nothing more.
-        let req = match handshake(&mut stream, p) {
-            Ok(req) => req,
-            Err(_) => continue, // bad client; keep serving the others
-        };
-        let id = req.worker;
-        let write_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let my_gen = {
-            let mut gens = shared.gens.lock().expect("gens lock");
-            gens[id] += 1;
-            gens[id]
-        };
-        let reconnected = {
-            let mut streams = shared.streams.lock().expect("streams lock");
-            let had = streams[id].is_some() || ever_connected[id];
-            streams[id] = Some(write_half);
-            had
-        };
-        if reconnected
-            && tx.send(Inbound::Reconnected(id)).is_err() {
-                return;
-            }
-        // Deliver the hello BEFORE the reader thread starts: otherwise
-        // a frame the worker pipelined right behind its hello (say a
-        // heartbeat) could reach the inbox first, reordering the
-        // stream.
-        if tx.send(Inbound::Request(req)).is_err() {
-            return;
-        }
-        spawn_reader(stream, id, my_gen, tx.clone(), Arc::clone(&shared));
-        if !ever_connected[id] {
-            ever_connected[id] = true;
-            let mut connected = shared.connected.lock().expect("connected lock");
-            *connected += 1;
-            shared.connected_cv.notify_all();
-        }
-    }
-}
-
 impl TcpListenerHandle {
-    /// Surrenders the raw listener — for servers that run their own
-    /// accept loop (the serving layer) but want the bind/address
-    /// handling above.
+    /// Surrenders the raw listener.
     pub fn into_listener(self) -> TcpListener {
         self.listener
-    }
-
-    /// Builds the master endpoint and waits until all `p` workers have
-    /// connected and handshaken (each sends a normal request frame
-    /// whose `worker` field identifies the connection; that request is
-    /// delivered through the inbox like any other).
-    ///
-    /// The acceptor keeps running for the lifetime of the master, so
-    /// workers may drop their connection and redial mid-run.
-    pub fn accept_workers(self, p: usize) -> Result<TcpMaster, TransportError> {
-        self.accept_workers_within(p, Duration::from_secs(30))
-    }
-
-    /// [`TcpListenerHandle::accept_workers`] with an explicit deadline
-    /// for the initial full complement.
-    pub fn accept_workers_within(self, p: usize, timeout: Duration) -> Result<TcpMaster, TransportError> {
-        self.accept_workers_configured(p, timeout, DEFAULT_IDLE_DEADLINE)
-    }
-
-    /// Full-knobs variant: `idle_deadline` bounds how long an
-    /// established connection may stay silent before it is treated as
-    /// half-open (tests shrink it to exercise the cutoff quickly).
-    pub fn accept_workers_configured(
-        self,
-        p: usize,
-        timeout: Duration,
-        idle_deadline: Duration,
-    ) -> Result<TcpMaster, TransportError> {
-        assert!(p >= 1, "need at least one worker");
-        let (tx, rx) = channel::<Inbound>();
-        let shared = Arc::new(Shared {
-            streams: Mutex::new((0..p).map(|_| None).collect()),
-            gens: Mutex::new(vec![0; p]),
-            connected: Mutex::new(0),
-            connected_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            addr: self.addr,
-            idle_deadline,
-        });
-        let listener = self.listener;
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_loop(listener, p, tx, shared))
-        };
-        // Wait for the full complement.
-        let deadline = Instant::now() + timeout;
-        let mut connected = shared.connected.lock().expect("connected lock");
-        while *connected < p {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                let msg = format!("only {connected}/{p} workers connected within {timeout:?}");
-                drop(connected);
-                // Full teardown, not just the flag: any worker that DID
-                // connect has a reader thread in its sliced-read loop;
-                // closing its socket (and kicking the acceptor awake)
-                // lets every thread exit instead of leaking.
-                shared.begin_shutdown();
-                let _ = acceptor.join();
-                return Err(TransportError::Io(msg));
-            }
-            let (guard, _timed_out) = shared
-                .connected_cv
-                .wait_timeout(connected, left.min(Duration::from_millis(50)))
-                .expect("condvar wait");
-            connected = guard;
-        }
-        drop(connected);
-        Ok(TcpMaster { inbox: rx, shared, acceptor: Mutex::new(Some(acceptor)) })
     }
 }
 
@@ -395,43 +74,16 @@ impl TcpWorker {
         write_frame(&mut stream, &WireMsg::Request(hello.clone()).encode())?;
         Ok(stream)
     }
-}
 
-impl MasterTransport for TcpMaster {
-    fn recv(&mut self) -> Result<Inbound, TransportError> {
-        self.inbox
-            .recv()
-            .map_err(|_| TransportError::Disconnected("all workers disconnected".into()))
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Inbound>, TransportError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(ev) => Ok(Some(ev)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(TransportError::Disconnected("all workers disconnected".into()))
-            }
-        }
-    }
-
-    fn send(&mut self, worker: usize, reply: Reply) -> Result<(), TransportError> {
-        let mut streams = self.shared.streams.lock().expect("streams lock");
-        let slot = streams
-            .get_mut(worker)
-            .ok_or(TransportError::UnknownWorker(worker))?;
-        let stream = slot
-            .as_mut()
-            .ok_or_else(|| TransportError::Disconnected(format!("worker {worker} not connected")))?;
-        match write_frame(stream, &reply.encode()) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                // A write failure means this connection is dead; drop
-                // the write half so later sends fail fast. The reader
-                // thread reports the disconnect event.
-                *slot = None;
-                Err(e)
-            }
-        }
+    /// Reads more bytes into the frame buffer under a finite deadline
+    /// (always re-armed — a stale timeout from a previous call can
+    /// never leak into this read). Returns `Ok(false)` when the read
+    /// timed out with the partial-frame state preserved.
+    fn fill(&mut self, timeout: Duration) -> Result<bool, TransportError> {
+        self.stream
+            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        fill_from(&mut self.stream, &mut self.rbuf)
     }
 }
 
@@ -487,329 +139,3 @@ impl WorkerTransport for TcpWorker {
     }
 }
 
-impl TcpWorker {
-    /// Reads more bytes into the frame buffer under a finite deadline
-    /// (always re-armed — a stale timeout from a previous call can
-    /// never leak into this read). Returns `Ok(false)` when the read
-    /// timed out with the partial-frame state preserved.
-    fn fill(&mut self, timeout: Duration) -> Result<bool, TransportError> {
-        self.stream
-            .set_read_timeout(Some(timeout.max(Duration::from_millis(1))))
-            .map_err(|e| TransportError::Io(e.to_string()))?;
-        fill_from(&mut self.stream, &mut self.rbuf)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lss_core::chunk::Chunk;
-    use lss_core::master::Assignment;
-
-    fn next_request(m: &mut TcpMaster) -> Request {
-        loop {
-            if let Inbound::Request(r) = m.recv().unwrap() { return r }
-        }
-    }
-
-    #[test]
-    fn tcp_roundtrip_two_workers() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let workers: Vec<_> = (0..2)
-            .map(|i| {
-                std::thread::spawn(move || {
-                    let mut w = TcpWorker::connect(
-                        addr,
-                        Request { worker: i, q: 1, result: None },
-                    )
-                    .unwrap();
-                    let r1 = w.recv_reply().unwrap();
-                    // Acknowledge with a piggy-backed result.
-                    if let Assignment::Chunk(c) = r1.assignment {
-                        let values = vec![7; c.len as usize];
-                        w.send_request(Request {
-                            worker: i,
-                            q: 2,
-                            result: Some(crate::protocol::ChunkResult::new(c, values)),
-                        })
-                        .unwrap();
-                    }
-                    let r2 = w.recv_reply().unwrap();
-                    (r1, r2)
-                })
-            })
-            .collect();
-
-        let mut master = handle.accept_workers(2).unwrap();
-        // Serve the two handshake requests with chunks.
-        for k in 0..2 {
-            let req = next_request(&mut master);
-            assert!(req.result.is_none());
-            master
-                .send(
-                    req.worker,
-                    Reply { assignment: Assignment::Chunk(Chunk::new(k * 10, 3)) },
-                )
-                .unwrap();
-        }
-        // Serve the two piggy-backed follow-ups with Finished.
-        for _ in 0..2 {
-            let req = next_request(&mut master);
-            let res = req.result.expect("piggy-backed result");
-            assert_eq!(res.values, vec![7, 7, 7]);
-            assert_eq!(req.q, 2);
-            master.send(req.worker, Reply { assignment: Assignment::Finished }).unwrap();
-        }
-        for w in workers {
-            let (r1, r2) = w.join().unwrap();
-            assert!(matches!(r1.assignment, Assignment::Chunk(_)));
-            assert_eq!(r2.assignment, Assignment::Finished);
-        }
-    }
-
-    #[test]
-    fn bad_handshake_id_is_ignored_but_good_one_accepted() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let bad = std::thread::spawn(move || {
-            // Claims worker id 9 but only 1 slot exists: the acceptor
-            // drops the connection and keeps serving.
-            let _ = TcpWorker::connect(addr, Request { worker: 9, q: 1, result: None });
-        });
-        let good = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            w.recv_reply().unwrap()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let req = next_request(&mut master);
-        assert_eq!(req.worker, 0);
-        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
-        assert_eq!(good.join().unwrap().assignment, Assignment::Finished);
-        bad.join().unwrap();
-    }
-
-    #[test]
-    fn heartbeats_flow_to_master() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            w.send_heartbeat(0).unwrap();
-            w.recv_reply().unwrap()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let mut saw_heartbeat = false;
-        loop {
-            match master.recv().unwrap() {
-                Inbound::Heartbeat { worker } => {
-                    assert_eq!(worker, 0);
-                    saw_heartbeat = true;
-                }
-                Inbound::Request(_) => {
-                    master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
-                    if saw_heartbeat {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if saw_heartbeat {
-                break;
-            }
-        }
-        t.join().unwrap();
-        assert!(saw_heartbeat);
-    }
-
-    #[test]
-    fn worker_reconnects_under_same_id() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            let r1 = w.recv_reply().unwrap();
-            // Sever and redial with a fresh hello.
-            w.reconnect(&Request { worker: 0, q: 5, result: None }).unwrap();
-            let r2 = w.recv_reply().unwrap();
-            (r1, r2)
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let req = next_request(&mut master);
-        assert_eq!(req.q, 1);
-        master.send(0, Reply { assignment: Assignment::Retry }).unwrap();
-        // Either order: the disconnect notice (if the reader saw EOF
-        // before the re-handshake bumped the generation) and/or the
-        // Reconnected notice, then the new hello request.
-        let req2 = loop {
-            match master.recv().unwrap() {
-                Inbound::Request(r) => break r,
-                Inbound::Disconnected(0) | Inbound::Reconnected(0) => {}
-                other => panic!("unexpected {other:?}"),
-            }
-        };
-        assert_eq!(req2.q, 5, "hello of the new connection");
-        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
-        let (r1, r2) = t.join().unwrap();
-        assert_eq!(r1.assignment, Assignment::Retry);
-        assert_eq!(r2.assignment, Assignment::Finished);
-    }
-
-    #[test]
-    fn reply_timeout_preserves_partial_frames() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            // Nothing sent yet: timed wait returns None.
-            assert_eq!(w.recv_reply_timeout(Duration::from_millis(20)).unwrap(), None);
-            // Then a real reply arrives.
-            let r = w.recv_reply_timeout(Duration::from_secs(5)).unwrap();
-            r.unwrap()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let _ = next_request(&mut master);
-        std::thread::sleep(Duration::from_millis(40));
-        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
-        assert_eq!(t.join().unwrap().assignment, Assignment::Finished);
-    }
-
-    #[test]
-    fn explicit_shutdown_unblocks_workers() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            // Blocks until the master shuts down; must observe a typed
-            // disconnect, not hang.
-            w.recv_reply()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let _ = next_request(&mut master);
-        master.shutdown();
-        let err = t.join().unwrap().unwrap_err();
-        assert!(err.is_disconnect(), "{err:?}");
-        // Sends after shutdown fail fast.
-        assert!(master.send(0, Reply { assignment: Assignment::Retry }).is_err());
-    }
-
-    #[test]
-    fn accept_timeout_tears_down_partial_connections() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        // One of two workers connects; the accept deadline expires.
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            w.recv_reply()
-        });
-        match handle.accept_workers_within(2, Duration::from_millis(200)) {
-            Err(TransportError::Io(_)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("accept should have timed out"),
-        }
-        // The teardown closed the connected worker's socket, so its
-        // blocked read observes EOF instead of parking forever.
-        assert!(t.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn half_open_worker_is_disconnected_not_parked() {
-        // Regression: the old handshake cleared its read timeout after
-        // the hello, so a worker that went silent (no FIN, no RST)
-        // parked its reader thread in `read` forever. Now the idle
-        // deadline converts silence into a typed Disconnected event.
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let silent = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            let hello = WireMsg::Request(Request { worker: 0, q: 1, result: None }).encode();
-            write_frame(&mut s, &hello).unwrap();
-            // Handshaken, now half-open: hold the socket open, say
-            // nothing, send nothing, close nothing.
-            std::thread::sleep(Duration::from_secs(4));
-            drop(s);
-        });
-        let mut master = handle
-            .accept_workers_configured(1, Duration::from_secs(5), Duration::from_millis(300))
-            .unwrap();
-        let _ = next_request(&mut master);
-        let t0 = Instant::now();
-        loop {
-            match master.recv_timeout(Duration::from_millis(100)).unwrap() {
-                Some(Inbound::Disconnected(0)) => break,
-                Some(other) => panic!("unexpected {other:?}"),
-                None => assert!(
-                    t0.elapsed() < Duration::from_secs(3),
-                    "half-open connection was not cut by the idle deadline"
-                ),
-            }
-        }
-        silent.join().unwrap();
-    }
-
-    #[test]
-    fn accept_timeout_with_zero_inbound_connections_returns() {
-        // Regression: the accept loop must not need a real inbound
-        // connection to observe shutdown — the self-connect kick wakes
-        // the blocking accept. Nobody ever dials here.
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t0 = Instant::now();
-        match handle.accept_workers_within(1, Duration::from_millis(200)) {
-            Err(TransportError::Io(_)) => {}
-            Err(other) => panic!("expected accept timeout, got {other:?}"),
-            Ok(_) => panic!("accept should have timed out"),
-        }
-        // accept_workers joined the acceptor before returning, so the
-        // listener is closed: a fresh dial must be refused.
-        assert!(t0.elapsed() < Duration::from_secs(5), "shutdown hung waiting for a connection");
-        assert!(
-            TcpStream::connect(addr).is_err(),
-            "acceptor still alive after shutdown completed"
-        );
-    }
-
-    #[test]
-    fn explicit_shutdown_joins_the_acceptor() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            w.recv_reply()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let _ = next_request(&mut master);
-        master.shutdown();
-        // The acceptor has exited (shutdown joins it); its listener is
-        // gone, so redials are refused rather than silently queued.
-        assert!(TcpStream::connect(addr).is_err());
-        assert!(t.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn send_to_never_connected_worker_fails_cleanly() {
-        let handle = tcp_listen().unwrap();
-        let addr = handle.addr;
-        let t = std::thread::spawn(move || {
-            let mut w =
-                TcpWorker::connect(addr, Request { worker: 0, q: 1, result: None }).unwrap();
-            w.recv_reply().unwrap()
-        });
-        let mut master = handle.accept_workers(1).unwrap();
-        let _ = next_request(&mut master);
-        assert!(matches!(
-            master.send(5, Reply { assignment: Assignment::Retry }),
-            Err(TransportError::UnknownWorker(5))
-        ));
-        master.send(0, Reply { assignment: Assignment::Finished }).unwrap();
-        t.join().unwrap();
-    }
-}

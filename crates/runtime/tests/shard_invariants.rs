@@ -183,7 +183,7 @@ proptest! {
         } else {
             ShardHarnessConfig::new(scheme, shards, workers)
         };
-        cfg.transport = Transport::Tcp;
+        cfg.transport = Transport::TcpEvented;
         let out = run_sharded_loop(&cfg, Arc::clone(&w));
         assert_exact_partition(&out, &w);
         prop_assert!(out.failed_workers.is_empty());

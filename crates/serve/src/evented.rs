@@ -1,15 +1,14 @@
-//! Evented TCP front end for the serve daemon.
+//! The serve daemon's TCP front end.
 //!
 //! One reactor thread owns the listener and every peer connection in
-//! a single epoll loop (`lss-reactor`), replacing the blocking front
-//! end's thread-per-connection model. The service's event loop is
-//! untouched: decoded frames flow into the same [`Event`] channel the
-//! blocking threads use, and replies come back through a
-//! mutex-guarded [`EvOutbox`] keyed by connection token, with a
-//! [`Waker`] nudge so the reactor picks them up immediately.
+//! a single epoll loop (`lss-reactor`). Decoded frames flow into the
+//! service's [`Event`] channel, the same one in-process links use, and
+//! replies come back through a mutex-guarded [`EvOutbox`] keyed by
+//! connection token, with a [`Waker`] nudge so the reactor picks them
+//! up immediately.
 //!
-//! Protocol per connection mirrors [`super::service::connection_loop`]
-//! exactly: the first frame must be a hello (worker or client) —
+//! Protocol per connection: the first frame must be a hello (worker or
+//! client) —
 //! anything else, including a legacy unversioned frame, earns a typed
 //! `Rejected` and a parting close. After the handshake, heartbeats
 //! post without a reply and every other frame is a request; a
@@ -130,9 +129,8 @@ struct SConn {
     /// change — an `epoll_ctl` per loop would be pure overhead).
     armed_write: bool,
     /// Close once the write queue drains: a farewell (`Shutdown` or a
-    /// handshake rejection) has been queued. The evented analogue of
-    /// the blocking connection thread returning after its last write —
-    /// and a parting connection never raises `WorkerGone`.
+    /// handshake rejection) has been queued. A parting connection never
+    /// raises `WorkerGone`.
     parting: bool,
 }
 
@@ -240,8 +238,8 @@ impl Reactor {
     }
 
     /// Dispatches one decoded frame. Returns `false` when the
-    /// connection must be closed hard (mid-stream garbage — the
-    /// blocking loop's decode-or-break, which raises `WorkerGone`).
+    /// connection must be closed hard (mid-stream garbage, which raises
+    /// `WorkerGone` for a worker connection).
     fn process_frame(&mut self, token: u64, payload: &[u8]) -> bool {
         let handshaking = match self.conns.get(&token) {
             Some(SConn { state: PeerState::PreHello { .. }, .. }) => true,
@@ -310,8 +308,7 @@ impl Reactor {
 
     /// Moves queued replies onto their connections and flushes. A
     /// `Shutdown` reply is a farewell: the connection closes once the
-    /// frame reaches the wire, like the blocking thread returning
-    /// after writing it.
+    /// frame reaches the wire.
     fn drain_outbox(&mut self) {
         let pending = std::mem::take(&mut *self.outbox.queue.lock().expect("outbox lock"));
         if pending.is_empty() {
@@ -401,7 +398,7 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::{serve_tcp_with, ServeBackend, ServeConfig};
+    use crate::service::{serve_tcp, ServeConfig};
     use crate::worker::{run_serve_worker, ServeWorkerConfig};
     use crate::{ServeClient, TcpLink};
     use lss_core::master::SchemeKind;
@@ -419,12 +416,10 @@ mod tests {
 
     /// The acceptance gate in miniature: jobs over TCP workers against
     /// the evented front end run to completion, with the same typed
-    /// lifecycle the blocking front end reports.
+    /// lifecycle in-process workers see.
     #[test]
     fn evented_jobs_run_to_completion_over_tcp() {
-        let handle =
-            serve_tcp_with(ServeConfig::new(4), "127.0.0.1", 0, ServeBackend::Evented)
-                .expect("serve evented");
+        let handle = serve_tcp(ServeConfig::new(4), "127.0.0.1", 0).expect("serve evented");
         let addr = handle.addr.expect("tcp service has an address");
         let workers: Vec<_> = (0..4)
             .map(|w| {
@@ -459,8 +454,7 @@ mod tests {
     fn evented_half_open_worker_is_cut_and_work_requeued() {
         let mut cfg = ServeConfig::new(2);
         cfg.idle_deadline = Duration::from_millis(400);
-        let handle = serve_tcp_with(cfg, "127.0.0.1", 0, ServeBackend::Evented)
-            .expect("serve evented");
+        let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve evented");
         let addr = handle.addr.expect("tcp service has an address");
         // Worker 1 goes half-open: handshake by hand, swallow the
         // reply, then sit silent holding whatever it was granted.
@@ -498,8 +492,7 @@ mod tests {
         let mut cfg = ServeConfig::new(1);
         cfg.exit_after_jobs = Some(0);
         let t0 = Instant::now();
-        let handle = serve_tcp_with(cfg, "127.0.0.1", 0, ServeBackend::Evented)
-            .expect("serve evented");
+        let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve evented");
         let addr = handle.addr.expect("tcp service has an address");
         let report = handle.join();
         assert!(t0.elapsed() < Duration::from_secs(5), "shutdown waited for a connection");
@@ -508,15 +501,14 @@ mod tests {
         assert!(TcpStream::connect(addr).is_err(), "listener survived the join");
     }
 
-    /// A legacy unversioned peer gets the same typed `Rejected` frame
-    /// the blocking front end sends, then the connection closes.
+    /// A legacy unversioned peer gets a typed `Rejected` frame, then the
+    /// connection closes.
     #[test]
     fn evented_legacy_peer_gets_typed_rejection() {
         use lss_runtime::protocol::{Request, WireMsg};
         let mut cfg = ServeConfig::new(1);
         cfg.exit_after_jobs = Some(1);
-        let handle = serve_tcp_with(cfg, "127.0.0.1", 0, ServeBackend::Evented)
-            .expect("serve evented");
+        let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve evented");
         let addr = handle.addr.expect("tcp service has an address");
         let mut stream = TcpStream::connect(addr).expect("legacy dial");
         let legacy = WireMsg::Request(Request { worker: 0, q: 1, result: None });
@@ -546,21 +538,5 @@ mod tests {
         let report = handle.join();
         worker.join().expect("worker thread");
         assert_eq!(report.jobs_completed, 1);
-    }
-
-    /// The env selector: unknown names are a typed error, known names
-    /// resolve, unset defaults to blocking.
-    #[test]
-    fn backend_env_selector_is_typed() {
-        // Exercised via the parse itself (env mutation in tests races
-        // other tests in the same process).
-        assert_eq!(ServeBackend::from_env().ok(), {
-            match std::env::var("LSS_SERVE_BACKEND") {
-                Ok(v) if v == "evented" => Some(ServeBackend::Evented),
-                Err(_) => Some(ServeBackend::Blocking),
-                Ok(v) if v.is_empty() || v == "blocking" => Some(ServeBackend::Blocking),
-                Ok(_) => None,
-            }
-        });
     }
 }

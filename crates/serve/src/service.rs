@@ -4,8 +4,9 @@
 //! [`JobQueue`]) and serializes every interaction — worker requests,
 //! client submissions, disconnect notices, lease polls — through one
 //! event channel, exactly as the one-shot master serializes its
-//! transport inbox. Connections are threads that pump frames into that
-//! channel and write the replies back out; an in-process peer skips
+//! transport inbox. TCP peers are multiplexed onto one epoll reactor
+//! thread ([`crate::evented`]) that pumps their frames into that
+//! channel and writes the replies back out; an in-process peer skips
 //! the socket and sends events directly ([`crate::LocalLink`]).
 //!
 //! Lifecycle: the service runs until asked to drain (client `Drain`
@@ -15,15 +16,12 @@
 //! typed `Rejected`; the loop exits once each connected worker has
 //! been told, so no thread is left parked on a socket.
 //!
-//! Two TCP front ends feed the same event loop ([`ServeBackend`]):
-//! the original thread-per-connection blocking sockets, and a single
-//! epoll reactor thread ([`crate::evented`]). Replies route back
-//! through [`ReplyTo`], which hides the difference — a channel to a
-//! connection thread, or the reactor's outbox plus a waker nudge —
-//! so the state machine itself never knows which backend carried the
+//! Replies route back through [`ReplyTo`] — a channel to an
+//! in-process link, or the reactor's outbox plus a waker nudge — so
+//! the state machine itself never knows which kind of peer sent the
 //! frame.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -35,7 +33,6 @@ use lss_core::LeaseConfig;
 use lss_runtime::protocol::serve::{
     JobState, JobStatus, ServeFrame, ServeRequest,
 };
-use lss_runtime::transport::frame::{read_frame_blocking, write_frame};
 use lss_runtime::transport::tcp::tcp_listen_on;
 use lss_runtime::transport::TransportError;
 use lss_trace::{ClockDomain, EventKind, SharedSink, Trace, TraceEvent, TraceMeta};
@@ -43,6 +40,7 @@ use lss_trace::{ClockDomain, EventKind, SharedSink, Trace, TraceEvent, TraceMeta
 use lss_core::Chunk;
 
 use crate::client::ServeClient;
+use crate::evented::EventedFrontEnd;
 use crate::journal::{JobSnapshot, Journal, JournalConfig, RecoveredState};
 use crate::link::LocalLink;
 use crate::queue::{JobQueue, QueuedJob};
@@ -111,40 +109,22 @@ impl ServeConfig {
     }
 }
 
-/// Which TCP front end [`serve_tcp`] runs. Both speak the identical
-/// framed protocol and feed the same single-threaded event loop; they
-/// differ only in how connections are multiplexed.
+/// The TCP front end [`serve_tcp_with`] runs. The epoll reactor is the
+/// only one; the enum stays so existing callers of [`serve_tcp_with`]
+/// keep compiling, and new code calls [`serve_tcp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeBackend {
-    /// One blocking thread per connection (the original front end).
-    Blocking,
     /// One epoll reactor thread for every connection (`lss-reactor`).
     Evented,
 }
 
-impl ServeBackend {
-    /// Resolves the backend from `LSS_SERVE_BACKEND`: `blocking` (or
-    /// unset/empty) and `evented` are accepted; anything else is a
-    /// typed error rather than a silent fallback.
-    pub fn from_env() -> Result<ServeBackend, TransportError> {
-        match std::env::var("LSS_SERVE_BACKEND") {
-            Err(_) => Ok(ServeBackend::Blocking),
-            Ok(v) if v.is_empty() || v == "blocking" => Ok(ServeBackend::Blocking),
-            Ok(v) if v == "evented" => Ok(ServeBackend::Evented),
-            Ok(v) => Err(TransportError::Io(format!(
-                "unknown LSS_SERVE_BACKEND `{v}` (expected `blocking` or `evented`)"
-            ))),
-        }
-    }
-}
-
-/// Where a reply to an [`Event::Frame`] goes: a channel back to the
-/// blocking connection thread (or local link), or the evented
-/// reactor's outbox keyed by connection token. Either way the send is
+/// Where a reply to an [`Event::Frame`] goes: a channel back to a
+/// local link, or the evented reactor's outbox keyed by connection
+/// token. Either way the send is
 /// fire-and-forget — a peer that vanished mid-request simply never
 /// reads its reply, exactly as bytes in a dead socket would be lost.
 pub(crate) enum ReplyTo {
-    /// An mpsc sender (connection thread or in-process link).
+    /// An mpsc sender (in-process link).
     Channel(Sender<ServeFrame>),
     /// The evented front end's outbox plus the owning connection.
     Evented {
@@ -172,8 +152,8 @@ pub(crate) enum Event {
     Frame {
         /// The decoded frame.
         frame: ServeFrame,
-        /// Where the reply goes (connection thread, local link, or the
-        /// evented reactor's outbox).
+        /// Where the reply goes (local link or the evented reactor's
+        /// outbox).
         reply: ReplyTo,
     },
     /// A frame with no reply (heartbeats).
@@ -211,35 +191,12 @@ pub struct ServeReport {
 pub struct ServeHandle {
     tx: Sender<Event>,
     thread: JoinHandle<ServeReport>,
-    accept_stop: Option<Arc<AtomicBool>>,
-    /// How to nudge the front end awake once the stop flag is set: a
-    /// self-connect for the blocking acceptor (which only observes the
-    /// flag after `accept()` returns), a waker for the reactor.
-    stop_signal: Option<StopSignal>,
-    /// The acceptor/reactor thread, joined so "service finished" means
-    /// the front end's loop has actually exited, not merely been asked.
-    front_end: Option<JoinHandle<()>>,
+    /// The TCP front end, when listening: its stop flag and the
+    /// reactor, joined so "service finished" means the front end's loop
+    /// has actually exited, not merely been asked.
+    front_end: Option<(Arc<AtomicBool>, EventedFrontEnd)>,
     /// Dial address, when listening on TCP.
     pub addr: Option<SocketAddr>,
-}
-
-/// The wake-up that makes the front end notice its stop flag.
-enum StopSignal {
-    /// Dial the listener once so a blocking `accept()` returns.
-    Kick(SocketAddr),
-    /// Interrupt the reactor's `epoll_wait`.
-    Wake(lss_reactor::Waker),
-}
-
-impl StopSignal {
-    fn fire(&self) {
-        match self {
-            StopSignal::Kick(addr) => {
-                let _ = TcpStream::connect(*addr);
-            }
-            StopSignal::Wake(waker) => waker.wake(),
-        }
-    }
 }
 
 impl ServeHandle {
@@ -257,27 +214,23 @@ impl ServeHandle {
     /// Waits for the service to finish (drain requested and work
     /// retired, or the job limit reached) and returns its report.
     ///
-    /// The TCP acceptor keeps listening until the service itself exits
-    /// (its thread flips the stop flag) — joining must not refuse
+    /// The TCP front end keeps listening until the service itself
+    /// exits (its thread flips the stop flag) — joining must not refuse
     /// peers that have not dialed yet.
     pub fn join(self) -> ServeReport {
-        let ServeHandle { tx, thread, accept_stop, stop_signal, front_end, .. } = self;
+        let ServeHandle { tx, thread, front_end, .. } = self;
         drop(tx);
         let report = match thread.join() {
             Ok(report) => report,
             Err(_) => panic!("service thread panicked"),
         };
-        // The service thread already flagged and signalled the front
-        // end on its way out; repeating both here is belt-and-braces
-        // so the join below can never park on a lost wakeup.
-        if let Some(stop) = &accept_stop {
+        // The service thread already flagged and woke the front end on
+        // its way out; repeating both here is belt-and-braces so the
+        // join below can never park on a lost wakeup.
+        if let Some((stop, fe)) = front_end {
             stop.store(true, Ordering::SeqCst);
-        }
-        if let Some(signal) = &stop_signal {
-            signal.fire();
-        }
-        if let Some(fe) = front_end {
-            let _ = fe.join();
+            fe.waker.wake();
+            let _ = fe.thread.join();
         }
         report
     }
@@ -312,7 +265,7 @@ pub fn try_serve(cfg: ServeConfig) -> Result<ServeHandle, TransportError> {
     let (tx, rx) = channel();
     let service = Service::new(cfg)?;
     let thread = std::thread::spawn(move || service.run(rx));
-    Ok(ServeHandle { tx, thread, accept_stop: None, stop_signal: None, front_end: None, addr: None })
+    Ok(ServeHandle { tx, thread, front_end: None, addr: None })
 }
 
 /// Starts a service listening on TCP (`port` 0 = ephemeral). Workers
@@ -320,92 +273,9 @@ pub fn try_serve(cfg: ServeConfig) -> Result<ServeHandle, TransportError> {
 /// their hello frame; a peer speaking the legacy unversioned protocol
 /// is refused with a typed `Rejected` frame.
 ///
-/// The front end is chosen by `LSS_SERVE_BACKEND` (see
-/// [`ServeBackend::from_env`]); use [`serve_tcp_with`] to pin one
-/// explicitly.
+/// Every connection is multiplexed onto one epoll reactor thread;
+/// replies travel outbox → waker → wire.
 pub fn serve_tcp(cfg: ServeConfig, host: &str, port: u16) -> Result<ServeHandle, TransportError> {
-    serve_tcp_with(cfg, host, port, ServeBackend::from_env()?)
-}
-
-/// [`serve_tcp`] with an explicit front end.
-pub fn serve_tcp_with(
-    cfg: ServeConfig,
-    host: &str,
-    port: u16,
-    backend: ServeBackend,
-) -> Result<ServeHandle, TransportError> {
-    match backend {
-        ServeBackend::Blocking => serve_tcp_blocking(cfg, host, port),
-        ServeBackend::Evented => serve_tcp_evented(cfg, host, port),
-    }
-}
-
-/// The thread-per-connection front end: one blocking acceptor thread,
-/// one [`connection_loop`] thread per peer.
-fn serve_tcp_blocking(
-    cfg: ServeConfig,
-    host: &str,
-    port: u16,
-) -> Result<ServeHandle, TransportError> {
-    let listener_handle = tcp_listen_on(host, port)?;
-    let addr = listener_handle.addr;
-    let listener = listener_handle.into_listener();
-    let (tx, rx) = channel::<Event>();
-    let service = Service::new(cfg)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let thread = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let report = service.run(rx);
-            // Service is gone: flag the acceptor, then kick it with a
-            // self-connect — a blocking `accept()` observes the flag
-            // only after it returns, so without the kick the acceptor
-            // would park until some unrelated peer happened to dial.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            report
-        })
-    };
-    let front_end = {
-        let stop = Arc::clone(&stop);
-        let tx = tx.clone();
-        std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // Checked immediately after accept returns: the
-                    // kick (or any peer landing after it) exits here.
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(false).is_err()
-                    {
-                        continue;
-                    }
-                    let tx = tx.clone();
-                    std::thread::spawn(move || connection_loop(stream, tx));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        })
-    };
-    Ok(ServeHandle {
-        tx,
-        thread,
-        accept_stop: Some(stop),
-        stop_signal: Some(StopSignal::Kick(addr)),
-        front_end: Some(front_end),
-        addr: Some(addr),
-    })
-}
-
-/// The reactor front end: every connection multiplexed onto one epoll
-/// thread ([`crate::evented`]); replies travel outbox → waker → wire.
-fn serve_tcp_evented(
-    cfg: ServeConfig,
-    host: &str,
-    port: u16,
-) -> Result<ServeHandle, TransportError> {
     let listener_handle = tcp_listen_on(host, port)?;
     let addr = listener_handle.addr;
     let listener = listener_handle.into_listener();
@@ -414,7 +284,6 @@ fn serve_tcp_evented(
     let service = Service::new(cfg)?;
     let stop = Arc::new(AtomicBool::new(false));
     let front = crate::evented::start(listener, tx.clone(), Arc::clone(&stop), idle_deadline)?;
-    let waker = front.waker.clone();
     let thread = {
         let stop = Arc::clone(&stop);
         let waker = front.waker.clone();
@@ -428,70 +297,18 @@ fn serve_tcp_evented(
             report
         })
     };
-    Ok(ServeHandle {
-        tx,
-        thread,
-        accept_stop: Some(stop),
-        stop_signal: Some(StopSignal::Wake(waker)),
-        front_end: Some(front.thread),
-        addr: Some(addr),
-    })
+    Ok(ServeHandle { tx, thread, front_end: Some((stop, front)), addr: Some(addr) })
 }
 
-/// Pumps one TCP connection: handshake, then frame → event → reply.
-fn connection_loop(mut stream: TcpStream, tx: Sender<Event>) {
-    let Ok(first) = read_frame_blocking(&mut stream) else { return };
-    let mut frame = match ServeFrame::decode(&first) {
-        Ok(f @ (ServeFrame::HelloWorker { .. } | ServeFrame::HelloClient)) => f,
-        Ok(_) => {
-            let reject = ServeFrame::Rejected { reason: "handshake required".into() };
-            let _ = write_frame(&mut stream, &reject.encode());
-            return;
-        }
-        Err(e) => {
-            // A legacy (unversioned) or mis-versioned peer gets a typed
-            // refusal it can surface, never a deserialization panic.
-            let reject = ServeFrame::Rejected { reason: e.to_string() };
-            let _ = write_frame(&mut stream, &reject.encode());
-            return;
-        }
-    };
-    let worker_id = match &frame {
-        ServeFrame::HelloWorker { worker, .. } => Some(*worker),
-        _ => None,
-    };
-    loop {
-        if matches!(frame, ServeFrame::Heartbeat { .. }) {
-            if tx.send(Event::Post(frame)).is_err() {
-                let _ = write_frame(&mut stream, &ServeFrame::Shutdown.encode());
-                return;
-            }
-        } else {
-            let (rtx, rrx) = channel();
-            if tx.send(Event::Frame { frame, reply: ReplyTo::Channel(rtx) }).is_err() {
-                // Service already exited: tell the peer to stop.
-                let _ = write_frame(&mut stream, &ServeFrame::Shutdown.encode());
-                return;
-            }
-            let Ok(resp) = rrx.recv() else {
-                let _ = write_frame(&mut stream, &ServeFrame::Shutdown.encode());
-                return;
-            };
-            let was_shutdown = matches!(resp, ServeFrame::Shutdown);
-            if write_frame(&mut stream, &resp.encode()).is_err() {
-                break;
-            }
-            if was_shutdown {
-                return; // orderly exit; no disconnect notice
-            }
-        }
-        match read_frame_blocking(&mut stream).ok().and_then(|p| ServeFrame::decode(&p).ok()) {
-            Some(f) => frame = f,
-            None => break,
-        }
-    }
-    if let Some(worker) = worker_id {
-        let _ = tx.send(Event::WorkerGone(worker));
+/// [`serve_tcp`] with the front end named explicitly.
+pub fn serve_tcp_with(
+    cfg: ServeConfig,
+    host: &str,
+    port: u16,
+    backend: ServeBackend,
+) -> Result<ServeHandle, TransportError> {
+    match backend {
+        ServeBackend::Evented => serve_tcp(cfg, host, port),
     }
 }
 

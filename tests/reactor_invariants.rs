@@ -1,10 +1,9 @@
-//! Cross-backend reactor invariants: the evented transport and serve
-//! front end must satisfy the same liveness contracts as the blocking
-//! thread-per-connection implementations — connections may churn
+//! Reactor invariants: the evented runtime transport and serve front
+//! end must satisfy their liveness contracts — connections may churn
 //! (disconnect and redial) without losing or duplicating iterations,
-//! half-open sockets are cut by the idle deadline instead of parking a
-//! thread forever, and shutdown completes even when no connection ever
-//! arrives.
+//! half-open sockets are cut by the idle deadline instead of being
+//! trusted forever, and shutdown completes even when no connection
+//! ever arrives.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -14,11 +13,9 @@ use loop_self_scheduling::prelude::*;
 use lss_runtime::protocol::{Request, WireMsg};
 use lss_runtime::transport::evented::evented_listen;
 use lss_runtime::transport::frame::{read_frame_blocking, write_frame};
-use lss_runtime::transport::tcp::tcp_listen;
 use lss_runtime::transport::{Inbound, MasterTransport};
 use lss_serve::{
-    run_serve_worker, serve_tcp_with, ServeBackend, ServeClient, ServeConfig, ServeWorkerConfig,
-    TcpLink,
+    run_serve_worker, serve_tcp, ServeClient, ServeConfig, ServeWorkerConfig, TcpLink,
 };
 
 fn verify_results<W: Workload>(out: &lss_runtime::harness::HarnessOutcome, w: &W) {
@@ -75,7 +72,7 @@ fn evented_transport_survives_connection_churn() {
 }
 
 /// The full chaos acceptance scenario — crash, hang, redial — on the
-/// evented transport, mirroring `eight_worker_chaos_over_tcp`.
+/// evented transport, mirroring `eight_worker_chaos_over_channels`.
 #[test]
 fn eight_worker_chaos_over_evented_tcp() {
     let w = Arc::new(Mandelbrot::new(MandelbrotParams::paper_domain(96, 64)));
@@ -101,8 +98,8 @@ fn eight_worker_chaos_over_evented_tcp() {
 /// Drives the half-open regression against one runtime master: a peer
 /// handshakes, then goes silent without FIN or RST. The master must
 /// convert the silence into a typed `Disconnected` within the idle
-/// deadline instead of parking a reader (or the reactor) forever.
-fn assert_half_open_is_cut(addr: SocketAddr, mut master: Box<dyn MasterTransport>, label: &str) {
+/// deadline instead of parking the reactor forever.
+fn assert_half_open_is_cut(addr: SocketAddr, mut master: impl MasterTransport, label: &str) {
     let t0 = Instant::now();
     let mut saw_hello = false;
     loop {
@@ -119,58 +116,26 @@ fn assert_half_open_is_cut(addr: SocketAddr, mut master: Box<dyn MasterTransport
     assert!(saw_hello, "[{label}] handshake never surfaced");
 }
 
-/// Half-open regression, blocking TCP and reactor side by side: both
-/// runtime masters keep a deadline on every read, so a silent
-/// handshaken socket is cut, never parked on.
+/// Half-open regression on the runtime master: the reactor keeps a
+/// deadline on every connection, so a silent handshaken socket is cut,
+/// never trusted forever.
 #[test]
 fn half_open_socket_is_cut_on_both_runtime_transports() {
-    for backend in ["blocking", "evented"] {
-        let (addr, accept): (SocketAddr, Box<dyn FnOnce() -> Box<dyn MasterTransport>>) =
-            if backend == "blocking" {
-                let h = tcp_listen().expect("listen");
-                let addr = h.addr;
-                (
-                    addr,
-                    Box::new(move || {
-                        Box::new(
-                            h.accept_workers_configured(
-                                1,
-                                Duration::from_secs(5),
-                                Duration::from_millis(300),
-                            )
-                            .expect("accept"),
-                        )
-                    }),
-                )
-            } else {
-                let h = evented_listen().expect("listen");
-                let addr = h.addr;
-                (
-                    addr,
-                    Box::new(move || {
-                        Box::new(
-                            h.accept_workers_configured(
-                                1,
-                                Duration::from_secs(5),
-                                Duration::from_millis(300),
-                            )
-                            .expect("accept"),
-                        )
-                    }),
-                )
-            };
-        let silent = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("dial");
-            let hello = WireMsg::Request(Request { worker: 0, q: 1, result: None }).encode();
-            write_frame(&mut s, &hello).expect("hello");
-            // Handshaken, now half-open: hold the socket, say nothing.
-            std::thread::sleep(Duration::from_secs(3));
-            drop(s);
-        });
-        let master = accept();
-        assert_half_open_is_cut(addr, master, backend);
-        silent.join().expect("silent peer thread");
-    }
+    let h = evented_listen().expect("listen");
+    let addr = h.addr;
+    let silent = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("dial");
+        let hello = WireMsg::Request(Request { worker: 0, q: 1, result: None }).encode();
+        write_frame(&mut s, &hello).expect("hello");
+        // Handshaken, now half-open: hold the socket, say nothing.
+        std::thread::sleep(Duration::from_secs(3));
+        drop(s);
+    });
+    let master = h
+        .accept_workers_configured(1, Duration::from_secs(5), Duration::from_millis(300))
+        .expect("accept");
+    assert_half_open_is_cut(addr, master, "evented");
+    silent.join().expect("silent peer thread");
 }
 
 fn uniform_job(priority: u32, iters: u64) -> lss_runtime::protocol::serve::JobSpec {
@@ -181,66 +146,55 @@ fn uniform_job(priority: u32, iters: u64) -> lss_runtime::protocol::serve::JobSp
     }
 }
 
-/// Half-open regression at the serve layer, against both backends: a
-/// worker that handshakes and then sits silent holding a grant must
-/// not stall the job. The evented front end cuts the socket on the
-/// idle deadline; the blocking front end recovers through chunk-lease
-/// expiry. Either way, the healthy worker finishes everything.
+/// Half-open regression at the serve layer: a worker that handshakes
+/// and then sits silent holding a grant must not stall the job. The
+/// reactor cuts the socket on the idle deadline, and the healthy worker
+/// finishes everything.
 #[test]
 fn serve_half_open_worker_never_stalls_a_job_on_either_backend() {
-    for backend in [ServeBackend::Blocking, ServeBackend::Evented] {
-        let mut cfg = ServeConfig::new(2);
-        cfg.idle_deadline = Duration::from_millis(400);
-        cfg.lease = chaos_lease();
-        let handle =
-            serve_tcp_with(cfg, "127.0.0.1", 0, backend).expect("serve");
-        let addr = handle.addr.expect("tcp service has an address");
-        let silent = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).expect("dial");
-            let hello = lss_runtime::protocol::serve::ServeFrame::HelloWorker { worker: 1, q: 1 };
-            write_frame(&mut s, &hello.encode()).expect("hello");
-            let _ = read_frame_blocking(&mut s);
-            std::thread::sleep(Duration::from_secs(3));
-            drop(s);
-        });
-        let mut client = ServeClient::connect(addr).expect("client connect");
-        client.submit(uniform_job(1, 1200)).expect("submit");
-        client.drain().expect("drain");
-        drop(client);
-        let healthy = std::thread::spawn(move || {
-            let mut link = TcpLink::connect(addr).expect("dial service");
-            run_serve_worker(&mut link, &ServeWorkerConfig::healthy(0)).expect("worker loop")
-        });
-        let report = handle.join();
-        healthy.join().expect("healthy worker");
-        silent.join().expect("silent worker");
-        assert_eq!(report.jobs_completed, 1, "{backend:?}");
-        assert_eq!(report.jobs[0].completed, report.jobs[0].total, "{backend:?}");
-    }
+    let mut cfg = ServeConfig::new(2);
+    cfg.idle_deadline = Duration::from_millis(400);
+    cfg.lease = chaos_lease();
+    let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve");
+    let addr = handle.addr.expect("tcp service has an address");
+    let silent = std::thread::spawn(move || {
+        let mut s = TcpStream::connect(addr).expect("dial");
+        let hello = lss_runtime::protocol::serve::ServeFrame::HelloWorker { worker: 1, q: 1 };
+        write_frame(&mut s, &hello.encode()).expect("hello");
+        let _ = read_frame_blocking(&mut s);
+        std::thread::sleep(Duration::from_secs(3));
+        drop(s);
+    });
+    let mut client = ServeClient::connect(addr).expect("client connect");
+    client.submit(uniform_job(1, 1200)).expect("submit");
+    client.drain().expect("drain");
+    drop(client);
+    let healthy = std::thread::spawn(move || {
+        let mut link = TcpLink::connect(addr).expect("dial service");
+        run_serve_worker(&mut link, &ServeWorkerConfig::healthy(0)).expect("worker loop")
+    });
+    let report = handle.join();
+    healthy.join().expect("healthy worker");
+    silent.join().expect("silent worker");
+    assert_eq!(report.jobs_completed, 1);
+    assert_eq!(report.jobs[0].completed, report.jobs[0].total);
 }
 
-/// Shutdown with zero inbound connections, both serve backends: the
-/// blocking acceptor is unblocked by the self-connect kick, the
-/// reactor by its waker. Neither needs a client to ever dial, and the
-/// join proves every front-end thread exited (the listener is gone).
+/// Shutdown with zero inbound connections: the reactor is unblocked by
+/// its waker, so no client ever needs to dial, and the join proves the
+/// front-end thread exited (the listener is gone).
 #[test]
 fn serve_shutdown_completes_with_zero_inbound_connections_on_either_backend() {
-    for backend in [ServeBackend::Blocking, ServeBackend::Evented] {
-        let mut cfg = ServeConfig::new(1);
-        cfg.exit_after_jobs = Some(0);
-        let t0 = Instant::now();
-        let handle =
-            serve_tcp_with(cfg, "127.0.0.1", 0, backend).expect("serve");
-        let addr = handle.addr.expect("tcp service has an address");
-        let report = handle.join();
-        assert!(
-            t0.elapsed() < Duration::from_secs(5),
-            "{backend:?} shutdown waited for a connection that never came"
-        );
-        assert_eq!(report.jobs_completed, 0);
-        assert!(
-            TcpStream::connect(addr).is_err(),
-            "{backend:?} listener survived the join"
-        );
-    }
+    let mut cfg = ServeConfig::new(1);
+    cfg.exit_after_jobs = Some(0);
+    let t0 = Instant::now();
+    let handle = serve_tcp(cfg, "127.0.0.1", 0).expect("serve");
+    let addr = handle.addr.expect("tcp service has an address");
+    let report = handle.join();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown waited for a connection that never came"
+    );
+    assert_eq!(report.jobs_completed, 0);
+    assert!(TcpStream::connect(addr).is_err(), "listener survived the join");
 }

@@ -47,7 +47,7 @@ fn mandelbrot_over_channels_all_schemes() {
 fn mandelbrot_over_tcp() {
     let w = Arc::new(Mandelbrot::new(MandelbrotParams::paper_domain(60, 40)));
     let mut cfg = HarnessConfig::paper_mix(SchemeKind::Dtss, 2, 1);
-    cfg.transport = Transport::Tcp;
+    cfg.transport = Transport::TcpEvented;
     let out = run_scheduled_loop(&cfg, Arc::clone(&w));
     verify_results(&out, w.as_ref());
 }
@@ -57,7 +57,7 @@ fn tcp_and_channels_agree_on_results() {
     let w = Arc::new(SyntheticWorkload::new((1..=64).collect()));
     let mut a = HarnessConfig::paper_mix(SchemeKind::Tfss, 2, 0);
     let b = HarnessConfig::paper_mix(SchemeKind::Tfss, 2, 0);
-    a.transport = Transport::Tcp;
+    a.transport = Transport::TcpEvented;
     let ra = run_scheduled_loop(&a, Arc::clone(&w));
     let rb = run_scheduled_loop(&b, Arc::clone(&w));
     assert_eq!(ra.results, rb.results);
@@ -195,7 +195,7 @@ fn crash_over_tcp_is_survivable() {
         SchemeKind::Tfss,
         vec![WorkerSpec::fast(), WorkerSpec::failing_after(1)],
     );
-    cfg.transport = Transport::Tcp;
+    cfg.transport = Transport::TcpEvented;
     let out = run_scheduled_loop(&cfg, Arc::clone(&w));
     assert_eq!(out.failed_workers, vec![1]);
     verify_results(&out, w.as_ref());
@@ -224,8 +224,11 @@ fn chaos_lease() -> LeaseConfig {
 fn eight_worker_chaos(transport: Transport) {
     let w = Arc::new(Mandelbrot::new(MandelbrotParams::paper_domain(96, 64)));
     let mut workers = vec![WorkerSpec::fast(); 5];
-    workers.push(WorkerSpec::failing_after(1)); // worker 5: crash
-    workers.push(WorkerSpec::fast().with_fault(FaultPlan::hang_after(1))); // worker 6: hang
+    // Workers 5 and 6 fail on their first grant: over channels the
+    // master serves before every worker has asked, so a fault planned
+    // for a later grant never fires when the peers drain the loop first.
+    workers.push(WorkerSpec::failing_after(0)); // worker 5: crash
+    workers.push(WorkerSpec::fast().with_fault(FaultPlan::hang_after(0))); // worker 6: hang
     workers.push(WorkerSpec::fast().with_fault(FaultPlan::reconnect_after(1, 150_000_000))); // worker 7
     let mut cfg = HarnessConfig::new(SchemeKind::Fss, workers);
     cfg.transport = transport;
@@ -246,11 +249,6 @@ fn eight_worker_chaos(transport: Transport) {
 #[test]
 fn eight_worker_chaos_over_channels() {
     eight_worker_chaos(Transport::Channels);
-}
-
-#[test]
-fn eight_worker_chaos_over_tcp() {
-    eight_worker_chaos(Transport::Tcp);
 }
 
 #[test]

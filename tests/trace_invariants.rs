@@ -255,7 +255,7 @@ proptest! {
         unit in 5_000u64..40_000,
     ) {
         let scheme = all_schemes()[scheme_ix];
-        for transport in [Transport::Channels, Transport::Tcp] {
+        for transport in [Transport::Channels, Transport::TcpEvented] {
             let mut cfg = HarnessConfig::paper_mix(scheme, 1, 2).traced();
             cfg.transport = transport;
             let workload = Arc::new(UniformLoop::new(total, unit));
