@@ -1,11 +1,13 @@
-//! The serve daemon's TCP front end.
+//! The serve daemon's one event loop.
 //!
-//! One reactor thread owns the listener and every peer connection in
-//! a single epoll loop (`lss-reactor`). Decoded frames flow into the
-//! service's [`Event`] channel, the same one in-process links use, and
-//! replies come back through a mutex-guarded [`EvOutbox`] keyed by
-//! connection token, with a [`Waker`] nudge so the reactor picks them
-//! up immediately.
+//! One reactor thread owns the [`Service`], the listener (when serving
+//! TCP) and every peer connection, in a single epoll loop
+//! (`lss-reactor`). A decoded frame calls [`Service::handle`] and the
+//! reply is queued on that connection's [`FramedConn`] and flushed
+//! before the next `epoll_wait`, all on this one thread. In-process
+//! links post [`Event`]s on an mpsc channel and wake the poller; the
+//! loop drains that channel after every wake, so an in-process service
+//! is this same loop with no listener.
 //!
 //! Protocol per connection: the first frame must be a hello (worker or
 //! client) —
@@ -13,28 +15,30 @@
 //! `Rejected` and a parting close. After the handshake, heartbeats
 //! post without a reply and every other frame is a request; a
 //! `Shutdown` reply closes the connection once it reaches the wire; a
-//! worker connection dying by any other route raises
-//! [`Event::WorkerGone`] so its leased chunks requeue.
+//! worker connection dying by any other route calls
+//! [`Service::worker_gone`] so its leased chunks requeue.
 //!
-//! Half-open peers cost a map entry, not a parked thread: every
-//! connection carries a deadline — 10 s to complete the handshake,
-//! then [`crate::ServeConfig::idle_deadline`] of allowed silence — and
-//! the reactor sweeps for violators on every scan slice.
+//! Time is a deadline, not an idle gap: the service's lease tick runs
+//! whenever [`crate::ServeConfig::poll_interval`] has passed since the
+//! last one, however much traffic arrives, and `epoll_wait` sleeps no
+//! longer than the time left to it. Half-open peers cost a map entry,
+//! not a parked thread: every connection carries a deadline — 10 s to
+//! complete the handshake, then [`crate::ServeConfig::idle_deadline`]
+//! of allowed silence — swept on every tick.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::TcpListener;
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, TryRecvError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use lss_reactor::{FramedConn, Interest, Poller, Readiness, Waker};
 use lss_runtime::protocol::serve::ServeFrame;
 use lss_runtime::transport::TransportError;
 
-use crate::service::{Event, ReplyTo};
+use crate::service::{Event, ServeReport, Service};
 
 /// The listener's registration token; connections count up from 1.
 const LISTENER_TOKEN: u64 = 0;
@@ -43,66 +47,36 @@ const LISTENER_TOKEN: u64 = 0;
 /// dropped (same budget as the runtime transport's handshake read).
 const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Upper bound on one `epoll_wait`: the reactor wakes at least this
-/// often to scan deadlines even when no fd stirs.
+/// Upper bound on one `epoll_wait`.
 const SCAN_SLICE: Duration = Duration::from_millis(100);
 
-/// Reply queue shared between the service thread and the reactor.
-/// [`ReplyTo::Evented`] pushes here; the reactor drains after every
-/// wake and moves the frames onto their connections.
-pub(crate) struct EvOutbox {
-    queue: Mutex<Vec<(u64, ServeFrame)>>,
-    waker: Waker,
-}
-
-impl EvOutbox {
-    /// Queues `frame` for the connection registered under `token` and
-    /// wakes the reactor. Fire-and-forget: if the connection died in
-    /// the meantime the frame is dropped, exactly as bytes buffered in
-    /// a dead socket would be.
-    pub(crate) fn reply(&self, token: u64, frame: ServeFrame) {
-        self.queue.lock().expect("outbox lock").push((token, frame));
-        self.waker.wake();
-    }
-}
-
-/// The running reactor, as the service assembly code sees it.
-pub(crate) struct EventedFrontEnd {
-    /// Wakes the reactor (stop notification, reply pickup).
-    pub(crate) waker: Waker,
-    /// The reactor thread, joined for provable shutdown.
-    pub(crate) thread: std::thread::JoinHandle<()>,
-}
-
-/// Spins up the reactor around an already-bound listener. `stop` is
-/// polled after every wake; flag it and wake to tear the reactor down
-/// (queued farewells are flushed first).
+/// Spins up the service loop, around `listener` when serving TCP.
+/// Returns the waker in-process links nudge after queueing an event,
+/// and the thread, which yields the service's report when it exits.
 pub(crate) fn start(
-    listener: TcpListener,
-    tx: Sender<Event>,
-    stop: Arc<AtomicBool>,
-    idle_deadline: Duration,
-) -> Result<EventedFrontEnd, TransportError> {
+    service: Service,
+    rx: Receiver<Event>,
+    listener: Option<TcpListener>,
+) -> Result<(Waker, JoinHandle<ServeReport>), TransportError> {
     let io = |e: std::io::Error| TransportError::Io(e.to_string());
-    listener.set_nonblocking(true).map_err(io)?;
     let poller = Poller::new().map_err(io)?;
-    poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ).map_err(io)?;
+    if let Some(listener) = &listener {
+        listener.set_nonblocking(true).map_err(io)?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ).map_err(io)?;
+    }
     let waker = poller.waker();
-    let outbox = Arc::new(EvOutbox { queue: Mutex::new(Vec::new()), waker: waker.clone() });
     let thread = std::thread::spawn(move || {
         Reactor {
+            service,
+            rx,
             poller,
             listener,
-            tx,
-            outbox,
-            stop,
-            idle_deadline,
             conns: HashMap::new(),
             next_token: LISTENER_TOKEN + 1,
         }
         .run()
     });
-    Ok(EventedFrontEnd { waker, thread })
+    Ok((waker, thread))
 }
 
 /// What a connection has told us about itself.
@@ -112,7 +86,7 @@ enum PeerState {
         /// When the connection was accepted.
         since: Instant,
     },
-    /// `HelloWorker { worker }` seen; EOF now raises `WorkerGone`.
+    /// `HelloWorker { worker }` seen; EOF now requeues its work.
     Worker {
         /// The claimed worker id (validated by the service, not here —
         /// a bogus id gets a typed `Rejected` reply like any request).
@@ -129,44 +103,101 @@ struct SConn {
     /// change — an `epoll_ctl` per loop would be pure overhead).
     armed_write: bool,
     /// Close once the write queue drains: a farewell (`Shutdown` or a
-    /// handshake rejection) has been queued. A parting connection never
-    /// raises `WorkerGone`.
+    /// handshake rejection) has been queued. A parting connection is
+    /// never reported gone.
     parting: bool,
+}
+
+/// What draining the in-process channel found.
+enum Inbox {
+    /// Senders remain.
+    Open,
+    /// Every sender (the handle and all links) is gone.
+    Closed,
+    /// [`Event::Kill`] arrived.
+    Killed,
 }
 
 /// The reactor thread's whole world.
 struct Reactor {
+    service: Service,
+    rx: Receiver<Event>,
     poller: Poller,
-    listener: TcpListener,
-    tx: Sender<Event>,
-    outbox: Arc<EvOutbox>,
-    stop: Arc<AtomicBool>,
-    idle_deadline: Duration,
+    listener: Option<TcpListener>,
     conns: HashMap<u64, SConn>,
     next_token: u64,
 }
 
 impl Reactor {
-    fn run(mut self) {
+    fn run(mut self) -> ServeReport {
+        let tick_every = self.service.cfg.poll_interval;
+        let mut next_tick = Instant::now() + tick_every;
         let mut events: Vec<Readiness> = Vec::new();
         loop {
-            events.clear();
-            if self.poller.wait(&mut events, Some(SCAN_SLICE)).is_err() {
+            match self.drain_inbox() {
+                Inbox::Open => {}
+                // Simulated SIGKILL: cut every peer, skip the parting
+                // checkpoint so recovery exercises the raw log.
+                Inbox::Killed => return self.service.report(),
+                // With no listener and no link left, nobody can ever
+                // talk to the service again.
+                Inbox::Closed if self.listener.is_none() => break,
+                Inbox::Closed => {}
+            }
+            let now = Instant::now();
+            if now >= next_tick {
+                self.service.tick();
+                self.scan_deadlines(now);
+                next_tick = now + tick_every;
+            }
+            if self.service.finished() {
                 break;
             }
-            if self.stop.load(Ordering::SeqCst) {
-                // The service exited after queueing its farewells (the
-                // `Shutdown` each worker was promised): deliver them
-                // within the parting budget, then tear down.
-                self.drain_outbox();
-                lss_reactor::parting_flush(self.conns.values_mut().map(|c| &mut c.fc));
-                return;
+            let timeout = SCAN_SLICE.min(next_tick.saturating_duration_since(now));
+            if !self.turn(&mut events, timeout) {
+                break;
             }
-            for ev in std::mem::take(&mut events) {
-                self.handle_event(ev);
+        }
+        // A pool member that never dialed gets the parting budget to
+        // hear `Shutdown` instead of a refused connection.
+        let parting = Instant::now() + lss_reactor::PARTING_FLUSH_BUDGET;
+        while self.listener.is_some() && self.service.pool_incomplete() {
+            let left = parting.saturating_duration_since(Instant::now());
+            if left.is_zero() || !self.turn(&mut events, left) {
+                break;
             }
-            self.drain_outbox();
-            self.scan_deadlines();
+        }
+        // Deliver the farewells (the `Shutdown` each worker was
+        // promised) within the parting budget, then tear down.
+        lss_reactor::parting_flush(self.conns.values_mut().map(|c| &mut c.fc));
+        self.service.finish()
+    }
+
+    /// Waits at most `timeout` for readiness and handles every event;
+    /// `false` if the poller failed.
+    fn turn(&mut self, events: &mut Vec<Readiness>, timeout: Duration) -> bool {
+        if self.poller.wait(events, Some(timeout)).is_err() {
+            return false;
+        }
+        for ev in events.drain(..) {
+            self.handle_event(ev);
+        }
+        true
+    }
+
+    /// Applies every queued in-process event.
+    fn drain_inbox(&mut self) -> Inbox {
+        loop {
+            match self.rx.try_recv() {
+                Ok(Event::Frame { frame, reply }) => {
+                    let _ = reply.send(self.service.handle(frame));
+                }
+                Ok(Event::Post(frame)) => self.service.post(frame),
+                Ok(Event::WorkerGone(worker)) => self.service.worker_gone(worker),
+                Ok(Event::Kill) => return Inbox::Killed,
+                Err(TryRecvError::Empty) => return Inbox::Open,
+                Err(TryRecvError::Disconnected) => return Inbox::Closed,
+            }
         }
     }
 
@@ -198,17 +229,16 @@ impl Reactor {
         }
         if dead || ev.closed {
             self.close_conn(ev.token);
-            return;
-        }
-        if ev.writable {
+        } else {
             self.flush_conn(ev.token);
         }
     }
 
     /// Accepts until the backlog drains.
     fn accept_all(&mut self) {
+        let Some(listener) = &self.listener else { return };
         loop {
-            match self.listener.accept() {
+            match listener.accept() {
                 Ok((stream, _)) => {
                     let Ok(fc) = FramedConn::new(stream) else { continue };
                     let token = self.next_token;
@@ -238,60 +268,48 @@ impl Reactor {
     }
 
     /// Dispatches one decoded frame. Returns `false` when the
-    /// connection must be closed hard (mid-stream garbage, which raises
-    /// `WorkerGone` for a worker connection).
+    /// connection must be closed hard (mid-stream garbage, which counts
+    /// as the worker's link dying).
     fn process_frame(&mut self, token: u64, payload: &[u8]) -> bool {
-        let handshaking = match self.conns.get(&token) {
-            Some(SConn { state: PeerState::PreHello { .. }, .. }) => true,
-            Some(_) => false,
-            None => return false,
-        };
-        if handshaking {
-            match ServeFrame::decode(payload) {
-                Ok(f @ (ServeFrame::HelloWorker { .. } | ServeFrame::HelloClient)) => {
-                    let state = match &f {
-                        ServeFrame::HelloWorker { worker, .. } => PeerState::Worker { id: *worker },
-                        _ => PeerState::Client,
-                    };
-                    if let Some(conn) = self.conns.get_mut(&token) {
-                        conn.state = state;
-                    }
-                    self.forward(token, f)
-                }
-                Ok(_) => {
-                    self.part_with(
-                        token,
-                        ServeFrame::Rejected { reason: "handshake required".into() },
-                    );
-                    true
-                }
-                // A legacy (unversioned) or mis-versioned peer gets a
-                // typed refusal it can surface, never a silent drop.
-                Err(e) => {
-                    self.part_with(token, ServeFrame::Rejected { reason: e.to_string() });
-                    true
-                }
+        let Some(conn) = self.conns.get_mut(&token) else { return false };
+        let decoded = ServeFrame::decode(payload);
+        if !matches!(conn.state, PeerState::PreHello { .. }) {
+            match decoded {
+                Ok(f @ ServeFrame::Heartbeat { .. }) => self.service.post(f),
+                Ok(f) => self.answer(token, f),
+                Err(_) => return false,
             }
-        } else {
-            match ServeFrame::decode(payload) {
-                Ok(f @ ServeFrame::Heartbeat { .. }) => {
-                    let _ = self.tx.send(Event::Post(f));
-                    true
-                }
-                Ok(f) => self.forward(token, f),
-                Err(_) => false,
-            }
+            return true;
         }
-    }
-
-    /// Sends one frame into the service; if the service has already
-    /// exited, the peer is told to stop with a parting `Shutdown`.
-    fn forward(&mut self, token: u64, frame: ServeFrame) -> bool {
-        let reply = ReplyTo::Evented { token, outbox: Arc::clone(&self.outbox) };
-        if self.tx.send(Event::Frame { frame, reply }).is_err() {
-            self.part_with(token, ServeFrame::Shutdown);
+        match decoded {
+            Ok(f @ (ServeFrame::HelloWorker { .. } | ServeFrame::HelloClient)) => {
+                conn.state = match f {
+                    ServeFrame::HelloWorker { worker, .. } => PeerState::Worker { id: worker },
+                    _ => PeerState::Client,
+                };
+                self.answer(token, f);
+            }
+            Ok(_) => {
+                self.part_with(token, ServeFrame::Rejected { reason: "handshake required".into() })
+            }
+            // A legacy (unversioned) or mis-versioned peer gets a typed
+            // refusal it can surface, never a silent drop.
+            Err(e) => self.part_with(token, ServeFrame::Rejected { reason: e.to_string() }),
         }
         true
+    }
+
+    /// Runs one request through the service and queues the reply on
+    /// the connection (flushed once the event's frames are handled). A
+    /// `Shutdown` reply is a farewell: the connection closes once the
+    /// frame reaches the wire.
+    fn answer(&mut self, token: u64, frame: ServeFrame) {
+        let reply = self.service.handle(frame);
+        let Some(conn) = self.conns.get_mut(&token) else { return };
+        conn.parting |= matches!(reply, ServeFrame::Shutdown);
+        if conn.fc.queue_frame(&reply.encode()).is_err() {
+            self.close_conn(token);
+        }
     }
 
     /// Queues a farewell frame and marks the connection to close once
@@ -304,37 +322,6 @@ impl Reactor {
             return;
         }
         self.flush_conn(token);
-    }
-
-    /// Moves queued replies onto their connections and flushes. A
-    /// `Shutdown` reply is a farewell: the connection closes once the
-    /// frame reaches the wire.
-    fn drain_outbox(&mut self) {
-        let pending = std::mem::take(&mut *self.outbox.queue.lock().expect("outbox lock"));
-        if pending.is_empty() {
-            return;
-        }
-        let mut touched: Vec<u64> = Vec::new();
-        for (token, frame) in pending {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                // Raced with a disconnect after the request was
-                // forwarded; the lease layer re-grants the work.
-                continue;
-            };
-            if matches!(frame, ServeFrame::Shutdown) {
-                conn.parting = true;
-            }
-            if conn.fc.queue_frame(&frame.encode()).is_err() {
-                self.close_conn(token);
-                continue;
-            }
-            if !touched.contains(&token) {
-                touched.push(token);
-            }
-        }
-        for token in touched {
-            self.flush_conn(token);
-        }
     }
 
     /// Flushes a connection's queue, keeps write interest armed exactly
@@ -360,16 +347,15 @@ impl Reactor {
 
     /// Cuts connections that blew their handshake or idle deadline —
     /// the half-open answer: no thread is parked anywhere, so a scan
-    /// and a close (with its `WorkerGone` requeue) is the cleanup.
-    fn scan_deadlines(&mut self) {
-        let now = Instant::now();
+    /// and a close (with its requeue) is the cleanup.
+    fn scan_deadlines(&mut self, now: Instant) {
         let mut doomed: Vec<u64> = Vec::new();
         for (token, conn) in &self.conns {
             let overdue = match conn.state {
                 PeerState::PreHello { since } => {
                     now.saturating_duration_since(since) >= HANDSHAKE_DEADLINE
                 }
-                _ => conn.fc.idle_for(now) >= self.idle_deadline,
+                _ => conn.fc.idle_for(now) >= self.service.cfg.idle_deadline,
             };
             if overdue {
                 doomed.push(*token);
@@ -390,7 +376,7 @@ impl Reactor {
             return;
         }
         if let PeerState::Worker { id } = conn.state {
-            let _ = self.tx.send(Event::WorkerGone(id));
+            self.service.worker_gone(id);
         }
     }
 }

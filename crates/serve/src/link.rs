@@ -6,8 +6,8 @@
 //! with no reply expected). Two implementations:
 //!
 //! - [`LocalLink`] — an in-process channel straight into the service
-//!   event loop (tests, benches, and the in-process worker threads of
-//!   `lss serve`);
+//!   event loop, plus a nudge of its poller (tests, benches, and the
+//!   in-process worker threads of `lss serve`);
 //! - [`TcpLink`] — a framed socket, sharing the length-prefixed
 //!   framing of the one-shot transport.
 //!
@@ -25,12 +25,13 @@ use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use lss_core::fault::ChaosRng;
+use lss_reactor::Waker;
 use lss_runtime::backoff::BackoffPolicy;
 use lss_runtime::protocol::serve::ServeFrame;
 use lss_runtime::transport::frame::{fill_from, write_frame, FrameBuf};
 use lss_runtime::transport::TransportError;
 
-use crate::service::{Event, ReplyTo};
+use crate::service::Event;
 
 /// Deadline applied to every request unless overridden with
 /// [`ServeLink::set_deadline`]. Generous — it guards against *dead*
@@ -58,13 +59,15 @@ pub trait ServeLink: Send {
     }
 }
 
-/// An in-process link: frames travel over the service's event channel.
+/// An in-process link: frames travel over the service's event channel,
+/// and each send wakes the service loop to drain it.
 ///
 /// Dropping a worker's `LocalLink` mid-run is the in-process analogue
 /// of a TCP connection dying: the service receives a disconnect notice
 /// and requeues whatever the worker held.
 pub struct LocalLink {
     tx: Sender<Event>,
+    waker: Waker,
     deadline: Option<Duration>,
     /// `Some(id)` for worker links — a disconnect notice is emitted on
     /// drop so the scheduler can requeue leased chunks.
@@ -72,17 +75,23 @@ pub struct LocalLink {
 }
 
 impl LocalLink {
-    pub(crate) fn new(tx: Sender<Event>, worker: Option<usize>) -> Self {
-        LocalLink { tx, deadline: Some(DEFAULT_DEADLINE), worker }
+    pub(crate) fn new(tx: Sender<Event>, waker: Waker, worker: Option<usize>) -> Self {
+        LocalLink { tx, waker, deadline: Some(DEFAULT_DEADLINE), worker }
+    }
+
+    fn send(&self, event: Event) -> Result<(), TransportError> {
+        self.tx
+            .send(event)
+            .map_err(|_| TransportError::Disconnected("service stopped".into()))?;
+        self.waker.wake();
+        Ok(())
     }
 }
 
 impl ServeLink for LocalLink {
     fn call(&mut self, frame: ServeFrame) -> Result<ServeFrame, TransportError> {
-        let (rtx, rrx) = channel();
-        self.tx
-            .send(Event::Frame { frame, reply: ReplyTo::Channel(rtx) })
-            .map_err(|_| TransportError::Disconnected("service stopped".into()))?;
+        let (reply, rrx) = channel();
+        self.send(Event::Frame { frame, reply })?;
         match self.deadline {
             None => {
                 rrx.recv().map_err(|_| TransportError::Disconnected("service stopped".into()))
@@ -97,9 +106,7 @@ impl ServeLink for LocalLink {
     }
 
     fn post(&mut self, frame: ServeFrame) -> Result<(), TransportError> {
-        self.tx
-            .send(Event::Post(frame))
-            .map_err(|_| TransportError::Disconnected("service stopped".into()))
+        self.send(Event::Post(frame))
     }
 
     fn set_deadline(&mut self, deadline: Option<Duration>) {
@@ -112,6 +119,9 @@ impl Drop for LocalLink {
         if let Some(worker) = self.worker {
             let _ = self.tx.send(Event::WorkerGone(worker));
         }
+        // Any link: once the handle is joined, the last link dropped
+        // closes the channel, which ends an in-process service.
+        self.waker.wake();
     }
 }
 

@@ -1,13 +1,15 @@
-//! The scheduler daemon: event loop, admission control, lifecycle.
+//! The scheduler daemon: admission control, lifecycle, and the
+//! state machine every peer talks to.
 //!
-//! One thread owns all scheduling state ([`MultiJobScheduler`] +
-//! [`JobQueue`]) and serializes every interaction — worker requests,
-//! client submissions, disconnect notices, lease polls — through one
-//! event channel, exactly as the one-shot master serializes its
-//! transport inbox. TCP peers are multiplexed onto one epoll reactor
-//! thread ([`crate::evented`]) that pumps their frames into that
-//! channel and writes the replies back out; an in-process peer skips
-//! the socket and sends events directly ([`crate::LocalLink`]).
+//! [`Service`] owns all scheduling state ([`MultiJobScheduler`] +
+//! [`JobQueue`]) and is driven by exactly one thread, the reactor loop
+//! in [`crate::evented`]: a decoded TCP frame calls [`Service::handle`]
+//! and the returned reply goes straight onto that connection, just as
+//! the one-shot master serializes its transport inbox. An in-process
+//! peer ([`crate::LocalLink`]) posts an [`Event`] on a channel and
+//! wakes the same loop, which drains the channel after every wake —
+//! one driver for channels and sockets, so the state machine never
+//! knows which kind of peer sent a frame.
 //!
 //! Lifecycle: the service runs until asked to drain (client `Drain`
 //! frame) and all work retires, or until `exit_after_jobs` jobs have
@@ -15,16 +17,9 @@
 //! request is answered with `Shutdown` and every submission with a
 //! typed `Rejected`; the loop exits once each connected worker has
 //! been told, so no thread is left parked on a socket.
-//!
-//! Replies route back through [`ReplyTo`] — a channel to an
-//! in-process link, or the reactor's outbox plus a waker nudge — so
-//! the state machine itself never knows which kind of peer sent the
-//! frame.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,14 +28,14 @@ use lss_core::LeaseConfig;
 use lss_runtime::protocol::serve::{
     JobState, JobStatus, ServeFrame, ServeRequest,
 };
-use lss_runtime::transport::tcp::tcp_listen_on;
+use lss_runtime::transport::tcp::{tcp_listen_on, TcpListenerHandle};
 use lss_runtime::transport::TransportError;
 use lss_trace::{ClockDomain, EventKind, SharedSink, Trace, TraceEvent, TraceMeta};
 
 use lss_core::Chunk;
+use lss_reactor::Waker;
 
 use crate::client::ServeClient;
-use crate::evented::EventedFrontEnd;
 use crate::journal::{JobSnapshot, Journal, JournalConfig, RecoveredState};
 use crate::link::LocalLink;
 use crate::queue::{JobQueue, QueuedJob};
@@ -65,7 +60,9 @@ pub struct ServeConfig {
     pub acp: AcpConfig,
     /// Chunk-lease parameters for every job's master.
     pub lease: LeaseConfig,
-    /// How long the event loop waits for events before polling leases.
+    /// Period of the lease tick: lease expiry, the quarantine silence
+    /// check, the retire sweep and journal compaction run whenever this
+    /// long has passed since the last tick, however busy the daemon is.
     pub poll_interval: Duration,
     /// Trace sink; job lifecycle and every master's chunk events land
     /// here, job-tagged.
@@ -118,47 +115,19 @@ pub enum ServeBackend {
     Evented,
 }
 
-/// Where a reply to an [`Event::Frame`] goes: a channel back to a
-/// local link, or the evented reactor's outbox keyed by connection
-/// token. Either way the send is
-/// fire-and-forget — a peer that vanished mid-request simply never
-/// reads its reply, exactly as bytes in a dead socket would be lost.
-pub(crate) enum ReplyTo {
-    /// An mpsc sender (in-process link).
-    Channel(Sender<ServeFrame>),
-    /// The evented front end's outbox plus the owning connection.
-    Evented {
-        /// Registration token of the connection awaiting the reply.
-        token: u64,
-        /// The reactor's reply queue (waking it is part of `reply`).
-        outbox: Arc<crate::evented::EvOutbox>,
-    },
-}
-
-impl ReplyTo {
-    pub(crate) fn send(self, frame: ServeFrame) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(frame);
-            }
-            ReplyTo::Evented { token, outbox } => outbox.reply(token, frame),
-        }
-    }
-}
-
-/// An event on the service's single serialized queue.
+/// What an in-process link hands the service loop.
 pub(crate) enum Event {
-    /// A frame expecting a reply.
+    /// A frame expecting a reply on `reply`. Fire-and-forget: a peer
+    /// that vanished mid-request simply never reads its reply.
     Frame {
-        /// The decoded frame.
+        /// The frame.
         frame: ServeFrame,
-        /// Where the reply goes (local link or the evented reactor's
-        /// outbox).
-        reply: ReplyTo,
+        /// Where the reply goes.
+        reply: Sender<ServeFrame>,
     },
     /// A frame with no reply (heartbeats).
     Post(ServeFrame),
-    /// A worker's connection died.
+    /// A worker's link was dropped.
     WorkerGone(usize),
     /// Die immediately — no drain, no farewells, and *no* final journal
     /// compaction (the crash-recovery analogue of SIGKILL).
@@ -190,11 +159,10 @@ pub struct ServeReport {
 /// links, and joins the daemon for its report.
 pub struct ServeHandle {
     tx: Sender<Event>,
+    /// Wakes the service loop after an event is queued.
+    waker: Waker,
+    /// The service loop's thread (the reactor, when listening).
     thread: JoinHandle<ServeReport>,
-    /// The TCP front end, when listening: its stop flag and the
-    /// reactor, joined so "service finished" means the front end's loop
-    /// has actually exited, not merely been asked.
-    front_end: Option<(Arc<AtomicBool>, EventedFrontEnd)>,
     /// Dial address, when listening on TCP.
     pub addr: Option<SocketAddr>,
 }
@@ -202,37 +170,28 @@ pub struct ServeHandle {
 impl ServeHandle {
     /// An in-process client (submissions, job queries, drain).
     pub fn client(&self) -> ServeClient {
-        ServeClient::local(LocalLink::new(self.tx.clone(), None))
+        ServeClient::local(LocalLink::new(self.tx.clone(), self.waker.clone(), None))
     }
 
     /// An in-process link for worker `id` — hand it to
     /// [`crate::run_serve_worker`].
     pub fn worker_link(&self, worker: usize) -> LocalLink {
-        LocalLink::new(self.tx.clone(), Some(worker))
+        LocalLink::new(self.tx.clone(), self.waker.clone(), Some(worker))
     }
 
     /// Waits for the service to finish (drain requested and work
-    /// retired, or the job limit reached) and returns its report.
-    ///
-    /// The TCP front end keeps listening until the service itself
-    /// exits (its thread flips the stop flag) — joining must not refuse
-    /// peers that have not dialed yet.
+    /// retired, or the job limit reached) and returns its report. The
+    /// loop's exit closes the listener, so once this returns no dial
+    /// succeeds. A listening service keeps serving until then — joining
+    /// must not refuse peers that have not dialed yet.
     pub fn join(self) -> ServeReport {
-        let ServeHandle { tx, thread, front_end, .. } = self;
+        let ServeHandle { tx, waker, thread, .. } = self;
         drop(tx);
-        let report = match thread.join() {
+        waker.wake();
+        match thread.join() {
             Ok(report) => report,
-            Err(_) => panic!("service thread panicked"),
-        };
-        // The service thread already flagged and woke the front end on
-        // its way out; repeating both here is belt-and-braces so the
-        // join below can never park on a lost wakeup.
-        if let Some((stop, fe)) = front_end {
-            stop.store(true, Ordering::SeqCst);
-            fe.waker.wake();
-            let _ = fe.thread.join();
+            Err(_) => panic!("service loop panicked"),
         }
-        report
     }
 
     /// Kills the service abruptly: the event loop exits on the spot —
@@ -262,10 +221,7 @@ pub fn serve(cfg: ServeConfig) -> ServeHandle {
 /// Starts an in-process service, surfacing journal-open failures as a
 /// typed error instead of a panic.
 pub fn try_serve(cfg: ServeConfig) -> Result<ServeHandle, TransportError> {
-    let (tx, rx) = channel();
-    let service = Service::new(cfg)?;
-    let thread = std::thread::spawn(move || service.run(rx));
-    Ok(ServeHandle { tx, thread, front_end: None, addr: None })
+    launch(cfg, None)
 }
 
 /// Starts a service listening on TCP (`port` 0 = ephemeral). Workers
@@ -273,31 +229,25 @@ pub fn try_serve(cfg: ServeConfig) -> Result<ServeHandle, TransportError> {
 /// their hello frame; a peer speaking the legacy unversioned protocol
 /// is refused with a typed `Rejected` frame.
 ///
-/// Every connection is multiplexed onto one epoll reactor thread;
-/// replies travel outbox → waker → wire.
+/// Every connection is multiplexed onto the one reactor thread that
+/// also runs the service, so a request is decoded, handled and answered
+/// without leaving that thread.
 pub fn serve_tcp(cfg: ServeConfig, host: &str, port: u16) -> Result<ServeHandle, TransportError> {
-    let listener_handle = tcp_listen_on(host, port)?;
-    let addr = listener_handle.addr;
-    let listener = listener_handle.into_listener();
-    let (tx, rx) = channel::<Event>();
-    let idle_deadline = cfg.idle_deadline;
+    launch(cfg, Some(tcp_listen_on(host, port)?))
+}
+
+/// Opens the journal and starts the service loop, around `listener`
+/// when there is one.
+fn launch(
+    cfg: ServeConfig,
+    listener: Option<TcpListenerHandle>,
+) -> Result<ServeHandle, TransportError> {
     let service = Service::new(cfg)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let front = crate::evented::start(listener, tx.clone(), Arc::clone(&stop), idle_deadline)?;
-    let thread = {
-        let stop = Arc::clone(&stop);
-        let waker = front.waker.clone();
-        std::thread::spawn(move || {
-            let report = service.run(rx);
-            // Flag, then wake: the reactor drains its outbox (the
-            // farewell `Shutdown` frames queued by the loop above) and
-            // flushes them to the wire before tearing down.
-            stop.store(true, Ordering::SeqCst);
-            waker.wake();
-            report
-        })
-    };
-    Ok(ServeHandle { tx, thread, front_end: Some((stop, front)), addr: Some(addr) })
+    let (tx, rx) = channel();
+    let addr = listener.as_ref().map(|l| l.addr);
+    let listener = listener.map(TcpListenerHandle::into_listener);
+    let (waker, thread) = crate::evented::start(service, rx, listener)?;
+    Ok(ServeHandle { tx, waker, thread, addr })
 }
 
 /// [`serve_tcp`] with the front end named explicitly.
@@ -313,8 +263,8 @@ pub fn serve_tcp_with(
 }
 
 /// The single-threaded service state machine.
-struct Service {
-    cfg: ServeConfig,
+pub(crate) struct Service {
+    pub(crate) cfg: ServeConfig,
     scheduler: MultiJobScheduler,
     queue: JobQueue,
     /// Crash-recovered jobs waiting for an active slot; drained before
@@ -331,6 +281,8 @@ struct Service {
     rejected: u64,
     requests: u64,
     seen: Vec<bool>,
+    /// Pool members that have said hello at least once (never reset).
+    greeted: Vec<bool>,
     told_shutdown: Vec<bool>,
     total_iterations: u64,
 }
@@ -370,6 +322,7 @@ impl Service {
             rejected: 0,
             requests: 0,
             seen: vec![false; workers],
+            greeted: vec![false; workers],
             told_shutdown: vec![false; workers],
             total_iterations: 0,
         };
@@ -416,7 +369,7 @@ impl Service {
     }
 
     /// Done, and every worker that ever connected has been told.
-    fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.done()
             && self
                 .seen
@@ -425,51 +378,46 @@ impl Service {
                 .all(|(seen, told)| !seen || *told)
     }
 
-    fn run(mut self, rx: Receiver<Event>) -> ServeReport {
-        loop {
-            if self.finished() {
-                break;
-            }
-            match rx.recv_timeout(self.cfg.poll_interval) {
-                Ok(Event::Frame { frame, reply }) => {
-                    let resp = self.handle(frame);
-                    reply.send(resp);
-                }
-                Ok(Event::Post(ServeFrame::Heartbeat { worker })) => {
-                    if worker < self.cfg.workers {
-                        let now = self.now();
-                        self.scheduler.heartbeat(worker, now);
-                    }
-                }
-                Ok(Event::Post(_)) => {}
-                Ok(Event::WorkerGone(worker)) => {
-                    if worker < self.cfg.workers {
-                        self.scheduler.worker_disconnected(worker);
-                        // No link left to say goodbye on: a gone worker
-                        // must not hold the service open waiting for a
-                        // `Shutdown` it can never receive. A redial
-                        // re-enters via `Hello` and re-marks `seen`.
-                        self.seen[worker] = false;
-                        self.told_shutdown[worker] = false;
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let now = self.now();
-                    self.scheduler.poll(now);
-                    let retired = self.scheduler_retired(now);
-                    self.completed += retired;
-                    self.maybe_checkpoint();
-                }
-                Ok(Event::Kill) => {
-                    // Simulated SIGKILL: skip the parting checkpoint so
-                    // recovery exercises the raw write-ahead log.
-                    return self.report();
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+    /// Whether some pool member has never said hello: a worker that may
+    /// still dial in, and should hear `Shutdown` rather than find the
+    /// port closed.
+    pub(crate) fn pool_incomplete(&self) -> bool {
+        self.greeted.contains(&false)
+    }
+
+    /// The lease tick: expires overdue leases, runs the quarantine
+    /// silence check, sweeps for jobs that retired between requests,
+    /// and compacts the journal when due.
+    pub(crate) fn tick(&mut self) {
+        let now = self.now();
+        self.scheduler.poll(now);
+        self.completed += self.scheduler_retired(now);
+        self.maybe_checkpoint();
+    }
+
+    /// A frame that expects no reply: only heartbeats count.
+    pub(crate) fn post(&mut self, frame: ServeFrame) {
+        if let ServeFrame::Heartbeat { .. } = frame {
+            self.handle(frame);
         }
-        // A final compaction so a restart re-admits nothing that
-        // already retired.
+    }
+
+    /// A worker's link died: requeue what it held.
+    pub(crate) fn worker_gone(&mut self, worker: usize) {
+        if worker < self.cfg.workers {
+            self.scheduler.worker_disconnected(worker);
+            // No link left to say goodbye on: a gone worker must not
+            // hold the service open waiting for a `Shutdown` it can
+            // never receive. A redial re-enters via `Hello` and re-marks
+            // `seen`.
+            self.seen[worker] = false;
+            self.told_shutdown[worker] = false;
+        }
+    }
+
+    /// Orderly exit: a final compaction so a restart re-admits nothing
+    /// that already retired, then the report.
+    pub(crate) fn finish(mut self) -> ServeReport {
         let state = self.journal_state();
         if let Some(journal) = &mut self.journal {
             let _ = journal.checkpoint(&state);
@@ -538,7 +486,9 @@ impl Service {
         n
     }
 
-    fn handle(&mut self, frame: ServeFrame) -> ServeFrame {
+    /// Handles one request frame and returns its reply. Anything the
+    /// reply acknowledges is journaled before this returns.
+    pub(crate) fn handle(&mut self, frame: ServeFrame) -> ServeFrame {
         match frame {
             ServeFrame::HelloWorker { worker, q } => self.worker_request(worker, q, Vec::new()),
             ServeFrame::Request(ServeRequest { worker, q, results }) => {
@@ -574,6 +524,7 @@ impl Service {
             };
         }
         self.seen[worker] = true;
+        self.greeted[worker] = true;
         self.requests += 1;
         let now = self.now();
         // Write-ahead: completions hit the journal before the
@@ -699,7 +650,8 @@ impl Service {
         out
     }
 
-    fn report(self) -> ServeReport {
+    /// The report as of now.
+    pub(crate) fn report(self) -> ServeReport {
         let trace = if self.cfg.trace.enabled() {
             Some(self.cfg.trace.take(TraceMeta {
                 scheme: "serve".into(),

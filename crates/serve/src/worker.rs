@@ -3,8 +3,9 @@
 //! Mirrors the one-shot runtime worker, generalized to batched,
 //! job-tagged grants: one request carries every pending result and one
 //! reply carries up to `k` chunks from up to `k` different jobs. The
-//! worker caches one materialized workload per job (specs travel with
-//! every grant, so a worker that joins mid-job needs no side channel).
+//! worker keeps the materialized workloads of its current batch only
+//! (specs travel with every grant, so a worker that joins mid-job needs
+//! no side channel, and a job seen again is simply re-materialized).
 //!
 //! Fault injection reuses [`FaultPlan`]: crashes vanish without
 //! reporting the last batch (the master's lease must recover the
@@ -16,7 +17,7 @@ use std::collections::HashMap;
 use std::time::Duration;
 
 use lss_core::fault::FaultPlan;
-use lss_runtime::protocol::serve::{JobChunkResult, ServeFrame, ServeRequest};
+use lss_runtime::protocol::serve::{JobChunkResult, JobGrant, ServeFrame, ServeRequest};
 use lss_runtime::protocol::ChunkResult;
 use lss_runtime::transport::TransportError;
 use lss_workloads::Workload;
@@ -57,6 +58,22 @@ pub struct ServeWorkerStats {
     pub reconnects: u64,
 }
 
+/// Materialized workloads keyed by job id, trimmed to the jobs of the
+/// latest batch so a long-lived worker holds at most `k` of them.
+#[derive(Default)]
+struct WorkloadCache(HashMap<u64, Box<dyn Workload>>);
+
+impl WorkloadCache {
+    fn get(&mut self, grant: &JobGrant) -> &dyn Workload {
+        &**self.0.entry(grant.job).or_insert_with(|| crate::instantiate(&grant.workload))
+    }
+
+    /// Forgets every job `batch` did not grant.
+    fn keep_only(&mut self, batch: &[JobGrant]) {
+        self.0.retain(|job, _| batch.iter().any(|g| g.job == *job));
+    }
+}
+
 /// Runs the worker loop until the service says `Shutdown` (or the link
 /// dies, which after a service exit means the same thing).
 ///
@@ -69,7 +86,7 @@ pub fn run_serve_worker<L: ServeLink>(
 ) -> Result<ServeWorkerStats, TransportError> {
     let mut stats = ServeWorkerStats::default();
     let mut pending: Vec<JobChunkResult> = Vec::new();
-    let mut cache: HashMap<u64, Box<dyn Workload>> = HashMap::new();
+    let mut cache = WorkloadCache::default();
     let mut retries: u32 = 0;
 
     stats.requests += 1;
@@ -94,10 +111,9 @@ pub fn run_serve_worker<L: ServeLink>(
             }
             ServeFrame::Grants(grants) => {
                 retries = 0;
-                for grant in grants {
-                    let workload = cache
-                        .entry(grant.job)
-                        .or_insert_with(|| crate::instantiate(&grant.workload));
+                cache.keep_only(&grants);
+                for grant in &grants {
+                    let workload = cache.get(grant);
                     let chunk = grant.chunk;
                     let mut values = Vec::with_capacity(chunk.len as usize);
                     for i in chunk.start..chunk.start + chunk.len {
@@ -163,5 +179,28 @@ pub fn run_serve_worker<L: ServeLink>(
             Err(TransportError::Disconnected(_)) => return Ok(stats),
             Err(e) => return Err(e),
         };
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lss_core::Chunk;
+    use lss_runtime::protocol::serve::WorkloadSpec;
+
+    /// A worker that meets thousands of jobs holds only its current
+    /// batch's workloads.
+    #[test]
+    fn workload_cache_stays_bounded_over_many_jobs() {
+        let mut cache = WorkloadCache::default();
+        let workload = WorkloadSpec::Uniform { iters: 8, cost: 1 };
+        for first in 0..2_000u64 {
+            let batch: Vec<JobGrant> = (first..first + 4)
+                .map(|job| JobGrant { job, workload, chunk: Chunk::new(0, 8) })
+                .collect();
+            cache.keep_only(&batch);
+            batch.iter().for_each(|grant| assert_eq!(cache.get(grant).len(), 8));
+            assert!(cache.0.len() <= batch.len(), "cache grew to {}", cache.0.len());
+        }
     }
 }

@@ -14,6 +14,8 @@
 //! window height, for all-escaping columns, up to tens of thousands
 //! where the set's interior dominates).
 
+use std::sync::OnceLock;
+
 use crate::Workload;
 
 /// Parameters of a Mandelbrot computation.
@@ -63,9 +65,11 @@ impl MandelbrotParams {
 }
 
 /// The Mandelbrot workload: `width` column-tasks over the configured
-/// domain. Column costs are precomputed at construction so that
-/// [`Workload::cost`] is O(1) for the simulator (the real runtime
-/// recomputes columns honestly via [`Workload::execute`]).
+/// domain. The column-cost profile is computed once, on the first
+/// [`Workload::cost`] call, so that `cost` is O(1) for the simulator
+/// while the real runtime — which recomputes columns honestly via
+/// [`Workload::execute`] and never asks for costs — never pays for a
+/// whole extra fractal.
 /// # Example
 ///
 /// ```
@@ -79,20 +83,18 @@ impl MandelbrotParams {
 #[derive(Debug, Clone)]
 pub struct Mandelbrot {
     params: MandelbrotParams,
-    column_costs: Vec<u64>,
+    /// Per-column escape-step totals, filled on first use.
+    column_costs: OnceLock<Vec<u64>>,
 }
 
 impl Mandelbrot {
-    /// Builds the workload, computing every column's cost once.
+    /// Builds the workload. Cheap: column costs are computed lazily.
     pub fn new(params: MandelbrotParams) -> Self {
         assert!(params.width >= 1 && params.height >= 1, "empty window");
         assert!(params.max_iter >= 1, "max_iter must be at least 1");
-        let column_costs = (0..params.width)
-            .map(|c| column_iterations(&params, c).iter().map(|&n| n as u64).sum())
-            .collect();
         Mandelbrot {
             params,
-            column_costs,
+            column_costs: OnceLock::new(),
         }
     }
 
@@ -128,7 +130,12 @@ impl Workload for Mandelbrot {
     }
 
     fn cost(&self, i: u64) -> u64 {
-        self.column_costs[i as usize]
+        let costs = self.column_costs.get_or_init(|| {
+            (0..self.params.width)
+                .map(|c| column_iterations(&self.params, c).iter().map(|&n| n as u64).sum())
+                .collect()
+        });
+        costs[i as usize]
     }
 
     fn execute(&self, i: u64) -> u64 {

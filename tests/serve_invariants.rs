@@ -14,10 +14,13 @@
 use lss_core::fault::FaultPlan;
 use lss_core::master::SchemeKind;
 use lss_core::power::AcpConfig;
-use lss_runtime::protocol::serve::{JobSpec, JobState, ServeFrame, WorkloadSpec};
+use lss_runtime::protocol::serve::{
+    JobChunkResult, JobSpec, JobState, ServeFrame, ServeRequest, WorkloadSpec,
+};
+use lss_runtime::protocol::ChunkResult;
 use lss_serve::{
-    run_serve_worker, serve, serve_tcp, QuarantineConfig, ServeConfig, ServeReport,
-    ServeWorkerConfig, TcpLink,
+    run_serve_worker, serve, serve_tcp, LocalLink, QuarantineConfig, ServeConfig, ServeLink,
+    ServeReport, ServeWorkerConfig, TcpLink,
 };
 use lss_trace::{EventKind, SharedSink, Trace};
 
@@ -214,6 +217,46 @@ fn sixteen_concurrent_mandelbrot_jobs_over_tcp() {
     assert_report_exactly_once(&report);
 }
 
+/// Drives one in-process worker per link in lock-step rounds: each
+/// round every still-running worker, in id order, reports the results
+/// of its previous batch and computes the batch it is granted. Returns
+/// once the service has told every worker to shut down.
+fn run_lockstep_workers(links: &mut [LocalLink]) {
+    let mut pending: Vec<Vec<JobChunkResult>> = vec![Vec::new(); links.len()];
+    let mut running = vec![true; links.len()];
+    let mut round = 0;
+    while running.contains(&true) {
+        for (w, link) in links.iter_mut().enumerate() {
+            if !running[w] {
+                continue;
+            }
+            let frame = if round == 0 {
+                ServeFrame::HelloWorker { worker: w, q: 1 }
+            } else {
+                let results = std::mem::take(&mut pending[w]);
+                ServeFrame::Request(ServeRequest { worker: w, q: 1, results })
+            };
+            match link.call(frame).expect("service reply") {
+                ServeFrame::Grants(grants) => {
+                    for grant in grants {
+                        let workload = lss_serve::instantiate(&grant.workload);
+                        let chunk = grant.chunk;
+                        let values = (chunk.start..chunk.start + chunk.len)
+                            .map(|i| workload.execute(i))
+                            .collect();
+                        let result = ChunkResult::new(chunk, values);
+                        pending[w].push(JobChunkResult { job: grant.job, result });
+                    }
+                }
+                ServeFrame::Retry => {}
+                ServeFrame::Shutdown => running[w] = false,
+                other => panic!("worker {w}: unexpected reply {other:?}"),
+            }
+        }
+        round += 1;
+    }
+}
+
 /// While jobs of priority 4, 2 and 1 compete for the pool, the
 /// snapshot taken when the first job retires must show iteration
 /// progress tracking the priority weights within 10%.
@@ -231,27 +274,20 @@ fn fair_share_tracks_priorities_through_the_service() {
     // from the first grant — this is a proportionality check, not a
     // head-start race.
     let mut client = handle.client();
-    // Large enough that the 4:2:1 shares dominate scheduling jitter —
-    // at a few thousand iterations the retirement order is decided by
-    // which worker thread the OS runs first, not by the shares.
+    // Large enough that the 4:2:1 shares dominate the granularity of
+    // the chunks each job is cut into.
     let low = client.submit(uniform(1, 40_000)).expect("submit low");
     let mid = client.submit(uniform(2, 40_000)).expect("submit mid");
     let high = client.submit(uniform(4, 40_000)).expect("submit high");
     client.drain().expect("drain");
     drop(client);
-    let workers: Vec<_> = (0..8)
-        .map(|w| {
-            let mut link = handle.worker_link(w);
-            std::thread::spawn(move || {
-                run_serve_worker(&mut link, &ServeWorkerConfig::healthy(w))
-                    .expect("worker loop failed")
-            })
-        })
-        .collect();
+    // The workers step through the service in lock-step rounds from
+    // this one thread, so which job retires first is decided by the
+    // shares alone, never by which worker thread the OS runs.
+    let mut links: Vec<_> = (0..8).map(|w| handle.worker_link(w)).collect();
+    run_lockstep_workers(&mut links);
+    drop(links);
     let report = handle.join();
-    for w in workers {
-        w.join().expect("worker thread");
-    }
     assert_eq!(report.jobs_completed, 3);
     let first = report.snapshots.first().expect("a completion snapshot");
     assert_eq!(first.completed_job, high, "highest priority job retires first");
