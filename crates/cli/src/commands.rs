@@ -583,7 +583,6 @@ pub fn cmd_master(args: &Args) -> Result<String, ArgError> {
     let outcome = run_resilient_master(
         transport,
         &mut master,
-        n,
         std::time::Duration::from_millis(2),
         lss_trace::SharedSink::disabled(),
     )

@@ -452,6 +452,11 @@ impl Master {
         self.total
     }
 
+    /// Number of workers `p` this master serves.
+    pub fn workers(&self) -> usize {
+        self.served.len()
+    }
+
     /// Iterations granted to `worker` so far.
     pub fn iterations_served(&self, worker: WorkerId) -> u64 {
         self.served[worker]
@@ -736,7 +741,9 @@ impl Master {
         self.completed[(i / 64) as usize] & (1u64 << (i % 64)) != 0
     }
 
-    fn chunk_fully_complete(&self, chunk: Chunk) -> bool {
+    /// Whether *every* iteration of `chunk` has been completed — the
+    /// requeue filter: fully-complete chunks are never granted again.
+    pub fn chunk_fully_complete(&self, chunk: Chunk) -> bool {
         // Wordwise: compare 64 iterations per step instead of one —
         // big chunks at cluster scale make the per-bit walk visible.
         let (start, end) = (chunk.start, chunk.end());

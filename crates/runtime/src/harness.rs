@@ -8,8 +8,14 @@
 //! always armed. On a healthy cluster they never fire (the report's
 //! fault log stays empty); with [`WorkerSpec::fault`] plans injected,
 //! the run completes anyway and the log shows how.
+//!
+//! [`run_scheduled_loop`] (a central [`Master`]) and
+//! [`crate::shard::run_sharded_loop`] (a [`ShardSet`]) share one
+//! launcher: it builds the worker configs, wires up the transport,
+//! holds the master until every worker's hello is queued, spawns and
+//! joins the workers, and unwraps the results.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use lss_core::fault::{FaultPlan, LeaseConfig};
@@ -17,17 +23,19 @@ use lss_core::master::{Master, MasterConfig, SchemeKind};
 use lss_core::power::{AcpConfig, VirtualPower};
 use lss_metrics::breakdown::{RunReport, TimeBreakdown};
 use lss_metrics::FaultLog;
+use lss_shard::ShardSet;
 use lss_trace::{ClockDomain, SharedSink, Trace, TraceMeta};
 use lss_workloads::Workload;
 
 use crate::backoff::BackoffPolicy;
 use crate::load::LoadState;
-use crate::master::run_resilient_master;
+use crate::master::{run_resilient_master, GrantBackend, ResilientOutcome};
 use crate::protocol::Request;
 use crate::transport::channels::channel_transport;
 use crate::transport::evented::evented_listen;
 use crate::transport::tcp::TcpWorker;
-use crate::worker::{run_worker, WorkerConfig, WorkerStats};
+use crate::transport::WorkerTransport;
+use crate::worker::{run_worker_loop, WorkerConfig, WorkerStats};
 
 /// Which transport the harness wires up.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,100 +213,11 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
     });
     master.set_lease_config(cfg.lease);
 
-    let worker_cfgs: Vec<WorkerConfig> = cfg
-        .workers
-        .iter()
-        .enumerate()
-        .map(|(id, spec)| WorkerConfig {
-            id,
-            slowdown: spec.slowdown,
-            load: spec.load.clone(),
-            retry: cfg.retry,
-            reconnect: cfg.reconnect,
-            fault: spec.fault.clone(),
-            heartbeat_every: cfg.heartbeat_every,
-            reply_timeout: cfg.reply_timeout,
-            trace: cfg.trace.clone(),
-        })
-        .collect();
+    let run = launch(cfg, &workload, &mut master, None, None);
+    let t_p = run.wall.as_secs_f64();
 
-    let t0 = Instant::now();
-    let (outcome, handles) = match cfg.transport {
-        Transport::Channels => {
-            let (mt, wts) = channel_transport(p);
-            let handles: Vec<_> = wts
-                .into_iter()
-                .zip(worker_cfgs)
-                .map(|(wt, wcfg)| {
-                    let wl = Arc::clone(&workload);
-                    std::thread::spawn(move || {
-                        let res = run_worker(wt, &wcfg, wl.as_ref(), false);
-                        (wcfg, res)
-                    })
-                })
-                .collect();
-            let outcome =
-                run_resilient_master(mt, &mut master, p, cfg.poll_interval, cfg.trace.clone())
-                    .expect("master failed");
-            (outcome, handles)
-        }
-        Transport::TcpEvented => {
-            let listener = evented_listen().expect("listen failed");
-            let addr = listener.addr;
-            let handles: Vec<_> = worker_cfgs
-                .into_iter()
-                .map(|wcfg| {
-                    let wl = Arc::clone(&workload);
-                    std::thread::spawn(move || {
-                        // The connect handshake doubles as the first
-                        // request.
-                        let first = Request {
-                            worker: wcfg.id,
-                            q: wcfg.load.q(),
-                            result: None,
-                        };
-                        let res = TcpWorker::connect(addr, first)
-                            .and_then(|wt| run_worker(wt, &wcfg, wl.as_ref(), true));
-                        (wcfg, res)
-                    })
-                })
-                .collect();
-            let mt = listener.accept_workers(p).expect("accept failed");
-            let outcome =
-                run_resilient_master(mt, &mut master, p, cfg.poll_interval, cfg.trace.clone())
-                    .expect("master failed");
-            (outcome, handles)
-        }
-    };
-    // A worker with an injected fault may legitimately end in a
-    // transport error (e.g. it gave up redialling); a healthy worker
-    // may not.
-    let stats: Vec<WorkerStats> = handles
-        .into_iter()
-        .map(|h| match h.join().expect("worker panicked") {
-            (_, Ok(stats)) => stats,
-            (wcfg, Err(_)) if !wcfg.fault.is_healthy() => WorkerStats::default(),
-            (wcfg, Err(e)) => panic!("healthy worker {} failed: {e}", wcfg.id),
-        })
-        .collect();
-    let t_p = t0.elapsed().as_secs_f64();
-
-    let results: Vec<u64> = outcome
-        .results
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            r.unwrap_or_else(|| {
-                panic!(
-                    "iteration {i} result missing (failed workers: {:?}; the loop \
-                     is only completable while at least one worker survives)",
-                    outcome.failed_workers
-                )
-            })
-        })
-        .collect();
-
-    let per_pe: Vec<TimeBreakdown> = stats
+    let per_pe: Vec<TimeBreakdown> = run
+        .stats
         .iter()
         .map(|s| TimeBreakdown {
             t_com: s.t_com.as_secs_f64(),
@@ -314,7 +233,144 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
         master.total_scheduling_steps(),
         iterations,
     )
-    .with_faults(outcome.faults.clone());
+    .with_faults(run.outcome.faults.clone());
+    HarnessOutcome {
+        report,
+        results: run.results,
+        worker_stats: run.stats,
+        failed_workers: run.outcome.failed_workers,
+        faults: run.outcome.faults,
+        speculative_grants: run.outcome.speculative_grants,
+        duplicates_dropped: run.outcome.duplicates_dropped,
+        trace: run.trace,
+    }
+}
+
+/// What [`launch`] produced.
+pub(crate) struct Launched {
+    /// Per-iteration results, every one present.
+    pub(crate) results: Vec<u64>,
+    /// The master loop's outcome.
+    pub(crate) outcome: ResilientOutcome,
+    /// Per-worker stats in id order (default for a failed faulty one).
+    pub(crate) stats: Vec<WorkerStats>,
+    /// The run's event timeline (`None` when tracing was off).
+    pub(crate) trace: Option<Trace>,
+    /// Wall time from spawning the workers to joining the last one.
+    pub(crate) wall: Duration,
+}
+
+/// The launcher both harnesses share: spawns one thread per worker
+/// spec, runs the master loop over `backend` on the calling thread, and
+/// joins the workers. With `claims`, workers self-schedule fresh chunks
+/// from that set's counters. `hello_delay` is a test hook: worker `.0`
+/// sleeps `.1` before sending its hello.
+///
+/// The loop starts only once every worker's hello is queued: over TCP
+/// `accept_workers` waits for them, over channels a barrier does. The
+/// master then serves every hello before any second request, so a fault
+/// planned for a worker's first grant always fires.
+///
+/// # Panics
+/// When the master fails, a healthy-plan worker fails, or an
+/// iteration's result never arrives.
+pub(crate) fn launch<W: Workload + 'static, B: GrantBackend>(
+    cfg: &HarnessConfig,
+    workload: &Arc<W>,
+    backend: B,
+    claims: Option<&Arc<ShardSet>>,
+    hello_delay: Option<(usize, Duration)>,
+) -> Launched {
+    let p = cfg.workers.len();
+    // Per-thread state: config, workload, claim handle, pre-hello pause.
+    let per_worker = cfg.workers.iter().enumerate().map(|(id, spec)| {
+        let wcfg = WorkerConfig {
+            id,
+            slowdown: spec.slowdown,
+            load: spec.load.clone(),
+            retry: cfg.retry,
+            reconnect: cfg.reconnect,
+            fault: spec.fault.clone(),
+            heartbeat_every: cfg.heartbeat_every,
+            reply_timeout: cfg.reply_timeout,
+            trace: cfg.trace.clone(),
+        };
+        let sw = claims.map(|set| set.self_worker(id));
+        let delay = hello_delay.filter(|&(w, _)| w == id).map(|(_, d)| d);
+        (wcfg, Arc::clone(workload), sw, delay)
+    });
+
+    let t0 = Instant::now();
+    let (outcome, handles) = match cfg.transport {
+        Transport::Channels => {
+            let (mt, wts) = channel_transport(p);
+            let all_hellos_queued = Arc::new(Barrier::new(p + 1));
+            let handles: Vec<_> = wts
+                .into_iter()
+                .zip(per_worker)
+                .map(|(mut wt, (wcfg, wl, sw, delay))| {
+                    let barrier = Arc::clone(&all_hellos_queued);
+                    std::thread::spawn(move || {
+                        std::thread::sleep(delay.unwrap_or_default());
+                        let hello = Request { worker: wcfg.id, q: wcfg.load.q(), result: None };
+                        let hello = wt.send_request(hello);
+                        barrier.wait();
+                        let res = hello
+                            .and_then(|()| run_worker_loop(wt, &wcfg, wl.as_ref(), true, sw));
+                        (wcfg, res)
+                    })
+                })
+                .collect();
+            all_hellos_queued.wait();
+            (run_resilient_master(mt, backend, cfg.poll_interval, cfg.trace.clone()), handles)
+        }
+        Transport::TcpEvented => {
+            let listener = evented_listen().expect("listen failed");
+            let addr = listener.addr;
+            let handles: Vec<_> = per_worker
+                .map(|(wcfg, wl, sw, delay)| {
+                    std::thread::spawn(move || {
+                        std::thread::sleep(delay.unwrap_or_default());
+                        // The connect handshake doubles as the hello.
+                        let hello = Request { worker: wcfg.id, q: wcfg.load.q(), result: None };
+                        let res = TcpWorker::connect(addr, hello)
+                            .and_then(|wt| run_worker_loop(wt, &wcfg, wl.as_ref(), true, sw));
+                        (wcfg, res)
+                    })
+                })
+                .collect();
+            let mt = listener.accept_workers(p).expect("accept failed");
+            (run_resilient_master(mt, backend, cfg.poll_interval, cfg.trace.clone()), handles)
+        }
+    };
+    let outcome = outcome.expect("master failed");
+    // A worker with an injected fault may legitimately end in a
+    // transport error (e.g. it gave up redialling); a healthy worker
+    // may not.
+    let stats: Vec<WorkerStats> = handles
+        .into_iter()
+        .map(|h| match h.join().expect("worker panicked") {
+            (_, Ok(stats)) => stats,
+            (wcfg, Err(_)) if !wcfg.fault.is_healthy() => WorkerStats::default(),
+            (wcfg, Err(e)) => panic!("healthy worker {} failed: {e}", wcfg.id),
+        })
+        .collect();
+    let wall = t0.elapsed();
+
+    let results: Vec<u64> = outcome
+        .results
+        .iter()
+        .enumerate()
+        .map(|(i, r)| {
+            r.unwrap_or_else(|| {
+                panic!(
+                    "iteration {i} result missing (failed workers: {:?}; the loop \
+                     is only completable while at least one worker survives)",
+                    outcome.failed_workers
+                )
+            })
+        })
+        .collect();
     let trace = cfg.trace.enabled().then(|| {
         cfg.trace.take(TraceMeta {
             scheme: cfg.scheme.name().to_string(),
@@ -323,16 +379,7 @@ pub fn run_scheduled_loop<W: Workload + 'static>(
             clock: ClockDomain::Monotonic,
         })
     });
-    HarnessOutcome {
-        report,
-        results,
-        worker_stats: stats,
-        failed_workers: outcome.failed_workers,
-        faults: outcome.faults,
-        speculative_grants: outcome.speculative_grants,
-        duplicates_dropped: outcome.duplicates_dropped,
-        trace,
-    }
+    Launched { results, outcome, stats, trace, wall }
 }
 
 #[cfg(test)]
@@ -525,5 +572,20 @@ mod tests {
         }
         assert_eq!(out.failed_workers, vec![2]);
         assert!(!out.faults.is_empty(), "crash must be visible in the log");
+    }
+
+    #[test]
+    fn late_hello_still_gets_the_crashing_grant() {
+        // Worker 2 sends its hello long after its peers could have
+        // drained the loop; the start barrier still makes the master
+        // serve it first, so its crash on the first grant fires.
+        let w = Arc::new(UniformLoop::new(120, 400));
+        let mut cfg = HarnessConfig::paper_mix(SchemeKind::Css { k: 10 }, 2, 0);
+        cfg.workers.push(WorkerSpec::failing_after(0));
+        let mut master = Master::new(MasterConfig::homogeneous(cfg.scheme, 120, 3));
+        let late = Some((2, Duration::from_millis(200)));
+        let run = launch(&cfg, &w, &mut master, None, late);
+        assert_eq!(run.outcome.failed_workers, vec![2]);
+        assert!((0..120).all(|i| run.results[i as usize] == w.execute(i)));
     }
 }

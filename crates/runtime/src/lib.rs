@@ -21,7 +21,9 @@
 //!   the paper's slave/master algorithms (§3.1): the worker with chaos
 //!   injection driven by [`lss_core::FaultPlan`], and the self-healing
 //!   [`master::run_resilient_master`] loop (chunk leases, speculative
-//!   re-execution, first-result-wins dedup).
+//!   re-execution, first-result-wins dedup), generic over a
+//!   [`master::GrantBackend`]: the central [`lss_core::Master`] or a
+//!   sharded [`lss_shard::ShardSet`].
 //! - [`backoff`] — capped exponential backoff with jitter, shared by
 //!   retry pacing and link redialling.
 //! - [`load`] — heterogeneity and non-dedication emulation: a worker
@@ -30,10 +32,10 @@
 //!   optional *real* background hog running matrix additions.
 //! - [`harness`] — one-call end-to-end runs returning the same
 //!   [`lss_metrics::RunReport`] the simulator produces.
-//! - [`shard`] — the same loop on a *sharded* master
+//! - [`shard`] — the harness on a *sharded* master
 //!   ([`lss_shard::ShardSet`]): N work-stealing master shards, or
 //!   lock-free worker-side chunk self-calculation, over either
-//!   transport.
+//!   transport, through the same launcher and master loop.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -51,8 +53,6 @@ pub mod worker;
 pub use backoff::BackoffPolicy;
 pub use harness::{run_scheduled_loop, HarnessConfig, HarnessOutcome, Transport, WorkerSpec};
 pub use load::LoadState;
-pub use master::{run_resilient_master, ResilientOutcome};
-pub use shard::{
-    run_sharded_loop, run_sharded_master, ShardHarnessConfig, ShardHarnessOutcome,
-};
+pub use master::{run_resilient_master, GrantBackend, ResilientOutcome};
+pub use shard::{run_sharded_loop, ShardHarnessConfig, ShardHarnessOutcome};
 pub use transport::TransportError;

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use lss_core::fault::{ChaosRng, FaultPlan};
 use lss_core::master::Assignment;
+use lss_shard::SelfWorker;
 use lss_trace::{EventKind, SharedSink, TraceEvent};
 use lss_workloads::Workload;
 
@@ -121,10 +122,26 @@ pub struct WorkerStats {
 /// or hang (the stats describe what was done before the fault); a
 /// transport failure the plan did not script surfaces as `Err`.
 pub fn run_worker<T: WorkerTransport>(
+    transport: T,
+    cfg: &WorkerConfig,
+    workload: &dyn Workload,
+    first_request_sent: bool,
+) -> Result<WorkerStats, TransportError> {
+    run_worker_loop(transport, cfg, workload, first_request_sent, None)
+}
+
+/// The slave loop behind [`run_worker`], optionally self-scheduling.
+/// With `claims`, fresh chunks come from lock-free claims on the shard
+/// counters instead of round trips, and the master only takes results
+/// and hands out recovered work. A claim is handled like a grant, chaos
+/// plan included (a crash vanishes holding it; the master reclaims it
+/// by formula replay). Once the formulas run dry it is the plain loop.
+pub(crate) fn run_worker_loop<T: WorkerTransport>(
     mut transport: T,
     cfg: &WorkerConfig,
     workload: &dyn Workload,
     first_request_sent: bool,
+    mut claims: Option<SelfWorker>,
 ) -> Result<WorkerStats, TransportError> {
     assert!(cfg.slowdown >= 1, "slowdown must be at least 1");
     let mut stats = WorkerStats::default();
@@ -144,52 +161,70 @@ pub fn run_worker<T: WorkerTransport>(
         .or_else(|| cfg.fault.net.is_active().then_some(DEFAULT_REPLY_TIMEOUT));
 
     loop {
-        if !skip_send {
-            let q = cfg.load.q();
-            let req = Request { worker: cfg.id, q, result: pending_result.take() };
-            let t0 = Instant::now();
-            send_with_net_faults(&mut transport, &req, &cfg.fault, &mut rng)?;
-            let spent = t0.elapsed();
-            stats.t_com += spent;
-            if cfg.trace.enabled() {
-                cfg.trace.record_now(
-                    TraceEvent::new(0, EventKind::Comm { ns: spent.as_nanos() as u64 })
-                        .on_worker(cfg.id),
-                );
+        // Self-scheduling hot path: a lock-free claim stands in for a
+        // grant. The ledger mark happens at the master when the result
+        // lands (single marking path), keeping its drain-reclaim window
+        // honest.
+        let mut claimed = None;
+        if let Some(sw) = claims.as_mut().filter(|_| !skip_send && pending_result.is_none()) {
+            claimed = sw.next_chunk(cfg.trace.now_ns()).map(|(_, _, chunk)| chunk);
+            if claimed.is_none() {
+                claims = None;
             }
-            last_request = Some(req);
-        } else {
-            skip_send = false;
         }
+        let assignment = match claimed {
+            Some(chunk) => Assignment::Chunk(chunk),
+            None => {
+                if !skip_send {
+                    let q = cfg.load.q();
+                    let req = Request { worker: cfg.id, q, result: pending_result.take() };
+                    let t0 = Instant::now();
+                    send_with_net_faults(&mut transport, &req, &cfg.fault, &mut rng)?;
+                    let spent = t0.elapsed();
+                    stats.t_com += spent;
+                    if cfg.trace.enabled() {
+                        cfg.trace.record_now(
+                            TraceEvent::new(0, EventKind::Comm { ns: spent.as_nanos() as u64 })
+                                .on_worker(cfg.id),
+                        );
+                    }
+                    last_request = Some(req);
+                } else {
+                    skip_send = false;
+                }
 
-        let t1 = Instant::now();
-        let assignment = match reply_timeout {
-            None => transport.recv_reply()?.assignment,
-            Some(timeout) => {
-                // Lossy links: wait, retransmit, wait again — the
-                // master's grants are idempotent, so retransmitted
-                // requests are safe.
-                loop {
-                    match transport.recv_reply_timeout(timeout)? {
-                        Some(Reply { assignment }) => break assignment,
-                        None => {
-                            if let Some(req) = &last_request {
-                                stats.retransmits += 1;
-                                send_with_net_faults(&mut transport, req, &cfg.fault, &mut rng)?;
+                let t1 = Instant::now();
+                let assignment = match reply_timeout {
+                    None => transport.recv_reply()?.assignment,
+                    Some(timeout) => {
+                        // Lossy links: wait, retransmit, wait again — the
+                        // master's grants are idempotent, so retransmitted
+                        // requests are safe.
+                        loop {
+                            match transport.recv_reply_timeout(timeout)? {
+                                Some(Reply { assignment }) => break assignment,
+                                None => {
+                                    if let Some(req) = &last_request {
+                                        stats.retransmits += 1;
+                                        let fault = &cfg.fault;
+                                        send_with_net_faults(&mut transport, req, fault, &mut rng)?;
+                                    }
+                                }
                             }
                         }
                     }
+                };
+                let waited = t1.elapsed();
+                stats.t_wait += waited;
+                if cfg.trace.enabled() {
+                    cfg.trace.record_now(
+                        TraceEvent::new(0, EventKind::Wait { ns: waited.as_nanos() as u64 })
+                            .on_worker(cfg.id),
+                    );
                 }
+                assignment
             }
         };
-        let waited = t1.elapsed();
-        stats.t_wait += waited;
-        if cfg.trace.enabled() {
-            cfg.trace.record_now(
-                TraceEvent::new(0, EventKind::Wait { ns: waited.as_nanos() as u64 })
-                    .on_worker(cfg.id),
-            );
-        }
 
         match assignment {
             Assignment::Chunk(chunk) => {
@@ -276,6 +311,9 @@ pub fn run_worker<T: WorkerTransport>(
                     }
                 }
             }
+            // While claims remain, the next round trip carries a fresh
+            // result: pace down only once they run dry.
+            Assignment::Retry if claims.is_some() => {}
             Assignment::Retry => {
                 let pause = cfg.retry.delay(retry_attempt, &mut rng);
                 retry_attempt = retry_attempt.saturating_add(1);
