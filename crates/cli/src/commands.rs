@@ -52,7 +52,7 @@ USAGE:
       (--tcp: over loopback TCP instead of in-process channels).
   lss master --port P --workers N <scheme> [--width W] [--height H] [--sf S]
       Host the master for N separate worker *processes* over TCP; every
-      worker connection is served by one epoll reactor thread.
+      worker connection is polled by the master loop's own thread.
   lss worker --connect HOST:PORT --id I [--slowdown K] [--width W]
       [--height H] [--sf S]
       Join a master as worker I (workload flags must match the master's).
@@ -95,7 +95,7 @@ USAGE:
       replays one after a crash, re-admitting unfinished jobs with only
       their un-completed iterations. --no-quarantine disables straggler
       quarantine (on by default). Every connection is multiplexed onto
-      one epoll reactor thread.
+      the one thread that runs the service.
   lss submit <scheme> --connect HOST:PORT [--priority W] [--count N]
       [--iters I --cost C | --width W --height H --sf S] [--wait]
       Submit N copies of a job (uniform loop when --iters is given,

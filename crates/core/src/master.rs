@@ -712,6 +712,12 @@ impl Master {
         Some(chunk)
     }
 
+    /// Handles a re-established link of `worker`: clears its dead flag
+    /// at once, without extending any lease.
+    pub fn worker_reconnected(&mut self, worker: WorkerId, now: u64) {
+        self.leases.heard_from(worker, now);
+    }
+
     /// Whether `worker` is currently considered dead (disconnected, or
     /// lease-expired and silent). Any sign of life clears the flag.
     pub fn worker_is_dead(&self, worker: WorkerId) -> bool {

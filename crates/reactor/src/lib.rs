@@ -1,4 +1,5 @@
-//! lss-reactor: a dependency-light epoll reactor.
+//! lss-reactor: a dependency-light epoll reactor and the one
+//! framed-connection server built on it.
 //!
 //! One [`Poller`] owns an epoll instance plus a self-wake pipe (a
 //! `UnixStream` pair — no extra syscall surface) and hands out
@@ -7,11 +8,14 @@
 //! stream with both-direction buffering for the workspace's
 //! length-prefixed frame codec.
 //!
-//! The crate deliberately stops there: no executor, no futures, no
-//! callbacks. The transports in `lss-runtime` and `lss-serve` each run
-//! a plain loop over [`Poller::wait`] and keep their protocol state
-//! machines in ordinary match statements, which keeps the event-driven
-//! backends reviewable next to their blocking siblings.
+//! [`FrameServer`] does the connection work once for every front end:
+//! accept, frame reading, write-interest arming, handshake and idle
+//! deadlines, parting closes and the teardown flush. A front end is a
+//! [`Handler`]: two callbacks, one per decoded frame and one per lost
+//! peer, with its protocol state in ordinary match statements. No
+//! executor, no futures; the server runs on whichever thread calls
+//! [`FrameServer::turn`] — the runtime master's own loop, or the serve
+//! daemon's reactor thread.
 //!
 //! `unsafe` is confined to the three epoll prototypes in `sys`; the
 //! rest of the crate — and every crate above it — is safe Rust.
@@ -20,9 +24,11 @@
 #![warn(missing_docs)]
 
 mod conn;
+mod server;
 mod sys;
 
 pub use conn::{parting_flush, ConnError, FramedConn, MAX_FRAME_BYTES, PARTING_FLUSH_BUDGET};
+pub use server::{Conn, FrameServer, Handler, HANDSHAKE_DEADLINE, SCAN_SLICE};
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::os::fd::{AsRawFd, RawFd};

@@ -43,7 +43,7 @@ pub enum Transport {
     /// In-process channels (fast, default).
     Channels,
     /// Localhost TCP sockets with framed messages, the master's side
-    /// multiplexed onto a single epoll reactor thread.
+    /// one epoll set polled by the master loop's own thread.
     TcpEvented,
 }
 
@@ -561,9 +561,10 @@ mod tests {
     fn crashing_worker_does_not_stop_the_loop() {
         let w = Arc::new(UniformLoop::new(120, 400));
         let mut cfg = HarnessConfig::paper_mix(SchemeKind::Css { k: 10 }, 2, 0);
-        // Crash on the first grant, not the second: over channels the
-        // master starts serving before every worker has asked, so a
-        // later crash point lets the fast peers drain the loop first.
+        // Crash on the first grant, the one grant a worker is sure of:
+        // the master starts only once every hello is queued, so worker
+        // 2's hello is served before any second request. A later crash
+        // point could find the fast peers have drained the loop.
         cfg.workers.push(WorkerSpec::failing_after(0));
         let out = run_scheduled_loop(&cfg, Arc::clone(&w));
         assert_eq!(out.results.len(), 120);

@@ -14,7 +14,8 @@
 //!   channels/tcp workable") and localhost TCP with length-prefixed
 //!   frames, demonstrating the same protocol across a real socket
 //!   (workers dial with [`transport::tcp::TcpWorker`]; the master's
-//!   side runs on one epoll reactor, [`transport::evented`]). Both
+//!   side, [`transport::evented`], is polled by the master loop's own
+//!   thread). Both
 //!   support timed receives, piggy-backed heartbeats and
 //!   worker-initiated reconnection.
 //! - [`worker`] / [`master`] — the two loop roles, directly mirroring

@@ -59,9 +59,9 @@ pub trait GrantBackend {
     fn heartbeat(&mut self, worker: usize, now: u64);
     /// Handles a lost link: returns the chunks requeued from `worker`.
     fn disconnected(&mut self, worker: usize, now: u64) -> Vec<Chunk>;
-    /// Handles a re-established link. The default does nothing: the
-    /// worker's next request clears its dead flag.
-    fn reconnected(&mut self, _worker: usize, _now: u64) {}
+    /// Handles a re-established link: the worker is alive again, so its
+    /// dead flag clears at once (its leases are not extended).
+    fn reconnected(&mut self, worker: usize, now: u64);
     /// Records a reported chunk, first result wins.
     fn complete(&mut self, worker: usize, chunk: Chunk, now: u64) -> CompletionOutcome;
     /// Serves one request under a lease.
@@ -104,6 +104,9 @@ impl GrantBackend for &mut Master {
     }
     fn disconnected(&mut self, worker: usize, _now: u64) -> Vec<Chunk> {
         self.worker_disconnected(worker).into_iter().collect()
+    }
+    fn reconnected(&mut self, worker: usize, now: u64) {
+        self.worker_reconnected(worker, now);
     }
     fn complete(&mut self, worker: usize, chunk: Chunk, now: u64) -> CompletionOutcome {
         self.record_completion(worker, chunk, now)
@@ -525,11 +528,13 @@ mod tests {
         let (mt, mut workers) = channel_transport(2);
         let mut master =
             Master::new(MasterConfig::homogeneous(SchemeKind::Css { k: 10 }, 60, 2));
-        let dying = workers.pop().unwrap();
+        let mut dying = workers.pop().unwrap();
+        // The dying worker's hello is queued before the survivor
+        // exists. The channel keeps arrival order, so the master serves
+        // it first and its reply is always a chunk.
+        dying.send_request(Request { worker: 1, q: 1, result: None }).unwrap();
         let d = std::thread::spawn(move || {
-            let mut t = dying;
-            t.send_request(Request { worker: 1, q: 1, result: None }).unwrap();
-            let r = t.recv_reply().unwrap();
+            let r = dying.recv_reply().unwrap();
             assert!(matches!(r.assignment, Assignment::Chunk(_)));
             // Crash while holding the chunk.
         });
@@ -616,14 +621,11 @@ mod tests {
             req(0, Some((0, 10))),  // duplicated: deduped, [20, 30) again
             Inbound::Disconnected(1), // held [10, 20): requeued
             Inbound::Reconnected(1),
-            req(0, Some((20, 10))), // the requeued [10, 20)
-            req(0, Some((10, 10))), // [30, 40)
+            req(1, None),           // back in, not dead: the requeued [10, 20)
+            req(0, Some((20, 10))), // [30, 40)
+            req(1, Some((10, 10))), // its own chunk back: nothing left to grant, Retry
             req(0, Some((30, 10))), // Finished
         ];
-        // Worker 1 goes quiet after its reconnect: the central master
-        // keeps a disconnected worker's dead flag until its next
-        // request, which then logs a second `Recovered`, while the set
-        // clears the flag on the reconnect itself.
         let (mut master, set) = backends();
         let (central, central_replies) = replay(&mut master, script.clone());
         let (sharded, sharded_replies) = replay(&set, script.clone());

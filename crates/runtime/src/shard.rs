@@ -248,10 +248,10 @@ mod tests {
         let mut cfg = ShardHarnessConfig::new(
             SchemeKind::Css { k: 10 },
             2,
-            // Crash on the first grant, not the second: over channels
-            // the master starts serving before every worker has asked,
-            // so a later crash point lets the fast peers drain the loop
-            // first.
+            // Crash on the first grant, the one grant a worker is sure
+            // of: the master starts only once every hello is queued, so
+            // worker 2's hello is served before any second request. A
+            // later crash point could find the loop already drained.
             vec![WorkerSpec::fast(), WorkerSpec::fast(), WorkerSpec::failing_after(0)],
         );
         cfg.lease = tight_lease();

@@ -1,39 +1,33 @@
-//! The master's side of the TCP transport: one reactor thread, every
-//! worker socket.
+//! The master's side of the TCP transport: every worker socket, polled
+//! on the master's own thread.
 //!
 //! Workers dial with [`super::tcp::TcpWorker`] and speak length-prefixed
-//! frames carrying [`WireMsg`]. The master side holds all connections
-//! in a single epoll loop (`lss-reactor`), so a thousand workers cost a
-//! thousand map entries, not a thousand parked threads.
+//! frames carrying [`WireMsg`]. The master side is a protocol handler on
+//! `lss-reactor`'s [`FrameServer`]: one epoll set holds the listener and
+//! every connection, so a thousand workers cost a thousand map entries,
+//! not a thousand parked threads — and no thread beyond the caller's.
+//! [`MasterTransport::recv_timeout`] polls the sockets, decodes frames
+//! into an arrival-ordered queue of [`Inbound`]s and expires deadlines;
+//! [`MasterTransport::send`] queues a reply on the worker's current
+//! connection and flushes it without blocking, leaving what the socket
+//! will not take for a later poll.
 //!
-//! Structure: the reactor thread owns the listener and every
-//! [`FramedConn`]; decoded messages flow out through an mpsc inbox, in
-//! arrival order, and replies flow in through a mutex-guarded outbox
-//! plus a [`Waker`] nudge. Every connection carries a deadline:
-//! handshakes get 10 s, established connections get an idle deadline,
-//! so a half-open socket is cut and reported as
+//! Every connection carries a deadline: handshakes get
+//! [`lss_reactor::HANDSHAKE_DEADLINE`], established connections an idle
+//! deadline, so a half-open socket is cut and reported as
 //! [`Inbound::Disconnected`] instead of being trusted forever. The
-//! reactor keeps accepting for the master's whole lifetime, so a worker
+//! listener stays open for the master's whole lifetime, so a worker
 //! whose connection died can redial and re-handshake under the same
 //! worker id.
 
-use std::collections::HashMap;
-use std::io::ErrorKind;
-use std::net::TcpListener;
-use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use lss_reactor::{FramedConn, Interest, Poller, Readiness, Waker};
+use lss_reactor::{Conn, FrameServer, Handler, SCAN_SLICE};
 
 use super::tcp::{tcp_listen_on, TcpListenerHandle};
 use super::{Inbound, MasterTransport, TransportError};
 use crate::protocol::{Reply, WireMsg};
-
-/// The listener's registration token; connections count up from 1.
-const LISTENER_TOKEN: u64 = 0;
 
 /// How long an established connection may stay completely silent
 /// before it is declared half-open and dropped. Workers heartbeat
@@ -41,54 +35,36 @@ const LISTENER_TOKEN: u64 = 0;
 /// link is never remotely close to this.
 pub const DEFAULT_IDLE_DEADLINE: Duration = Duration::from_secs(30);
 
-/// A connection that never completes its hello within this window is
-/// dropped.
-const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
-
-/// Upper bound on one `epoll_wait`: the reactor wakes at least this
-/// often to scan handshake/idle deadlines even when no fd stirs.
-const SCAN_SLICE: Duration = Duration::from_millis(100);
-
-/// State shared between the master handle and the reactor thread.
-struct EvShared {
-    /// Replies queued by `send`, drained by the reactor after a wake.
-    outbox: Mutex<Vec<(usize, Vec<u8>)>>,
-    /// Whether each worker currently has a live connection — the
-    /// fail-fast check behind `send`.
-    connected_now: Mutex<Vec<bool>>,
-    /// Count of distinct worker ids seen at least once, plus the
-    /// condvar `accept_workers` waits on for the initial complement.
-    complement: Mutex<usize>,
-    complement_cv: Condvar,
-    /// Set by shutdown/Drop; the reactor exits on its next wake.
-    shutdown: AtomicBool,
-}
-
-/// Master endpoint running on the epoll reactor.
+/// Master endpoint: the worker protocol on a [`FrameServer`], driven by
+/// whichever thread calls `recv`/`send`.
 pub struct EventedTcpMaster {
-    inbox: Receiver<Inbound>,
-    shared: Arc<EvShared>,
-    waker: Waker,
-    /// The reactor thread, joined on shutdown so "shutdown complete"
-    /// means the event loop has actually exited.
-    reactor: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// Listens for the master's whole lifetime: once it stops, the
+    /// endpoint is shut down.
+    server: FrameServer<usize>,
+    workers: Workers,
 }
 
 impl EventedTcpMaster {
-    /// Gracefully shuts the endpoint down: the reactor is woken (no
-    /// inbound connection required — this is what the waker is for),
-    /// flushes every reply `send` queued before this call within
-    /// [`lss_reactor::PARTING_FLUSH_BUDGET`], then closes every socket
-    /// and exits; this call joins it. Subsequent `send`s fail with
-    /// [`TransportError::Disconnected`]. Dropping the master does the
-    /// same implicitly.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        let handle = self.reactor.lock().expect("reactor lock").take();
-        if let Some(h) = handle {
-            let _ = h.join();
+    /// Gracefully shuts the endpoint down: stops accepting, flushes
+    /// every reply `send` queued before this call within
+    /// [`lss_reactor::PARTING_FLUSH_BUDGET`], then closes every socket.
+    /// Subsequent `send`s fail with [`TransportError::Disconnected`],
+    /// and receives do once the events already decoded are consumed.
+    /// Dropping the master does the same implicitly.
+    pub fn shutdown(&mut self) {
+        self.server.shutdown();
+    }
+
+    /// One poll of the sockets, then the quiet close of every
+    /// connection a redial replaced.
+    fn pump(&mut self, timeout: Duration) -> Result<(), TransportError> {
+        self.server
+            .turn(&mut self.workers, timeout)
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        while let Some(old) = self.workers.replaced.pop() {
+            self.server.close(old, &mut self.workers);
         }
+        Ok(())
     }
 }
 
@@ -100,42 +76,38 @@ impl Drop for EventedTcpMaster {
 
 impl MasterTransport for EventedTcpMaster {
     fn recv(&mut self) -> Result<Inbound, TransportError> {
-        self.inbox
-            .recv()
-            .map_err(|_| TransportError::Disconnected("all workers disconnected".into()))
+        loop {
+            if let Some(ev) = self.recv_timeout(SCAN_SLICE)? {
+                return Ok(ev);
+            }
+        }
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Inbound>, TransportError> {
-        match self.inbox.recv_timeout(timeout) {
-            Ok(ev) => Ok(Some(ev)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(TransportError::Disconnected("all workers disconnected".into()))
+        let deadline = Instant::now() + timeout;
+        while self.workers.inbox.is_empty() {
+            if !self.server.is_listening() {
+                return Err(TransportError::Disconnected("all workers disconnected".into()));
+            }
+            self.pump(deadline.saturating_duration_since(Instant::now()))?;
+            if Instant::now() >= deadline {
+                break;
             }
         }
+        Ok(self.workers.inbox.pop_front())
     }
 
     fn send(&mut self, worker: usize, reply: Reply) -> Result<(), TransportError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        if !self.server.is_listening() {
             return Err(TransportError::Disconnected("master shut down".into()));
         }
-        {
-            let connected = self.shared.connected_now.lock().expect("connected lock");
-            if worker >= connected.len() {
-                return Err(TransportError::UnknownWorker(worker));
-            }
-            if !connected[worker] {
-                return Err(TransportError::Disconnected(format!(
-                    "worker {worker} not connected"
-                )));
-            }
-        }
-        self.shared
-            .outbox
-            .lock()
-            .expect("outbox lock")
-            .push((worker, reply.encode()));
-        self.waker.wake();
+        let Some(&current) = self.workers.current.get(worker) else {
+            return Err(TransportError::UnknownWorker(worker));
+        };
+        let Some(token) = current else {
+            return Err(TransportError::Disconnected(format!("worker {worker} not connected")));
+        };
+        self.server.send(token, &reply.encode(), &mut self.workers);
         Ok(())
     }
 }
@@ -149,7 +121,7 @@ pub fn evented_listen() -> Result<TcpListenerHandle, TransportError> {
 
 impl TcpListenerHandle {
     /// Builds the evented master and waits until all `p` workers have
-    /// connected and handshaken. The reactor keeps accepting for the
+    /// connected and handshaken. The listener stays open for the
     /// master's lifetime, so workers may redial mid-run.
     pub fn accept_workers(self, p: usize) -> Result<EventedTcpMaster, TransportError> {
         self.accept_workers_within(p, Duration::from_secs(30))
@@ -168,6 +140,9 @@ impl TcpListenerHandle {
     /// Full-knobs variant: `idle_deadline` bounds how long an
     /// established connection may stay silent before it is treated as
     /// half-open.
+    ///
+    /// Polls until `p` distinct workers have said hello. Their hellos
+    /// stay queued, in arrival order, for the master's first receives.
     pub fn accept_workers_configured(
         self,
         p: usize,
@@ -175,329 +150,95 @@ impl TcpListenerHandle {
         idle_deadline: Duration,
     ) -> Result<EventedTcpMaster, TransportError> {
         assert!(p >= 1, "need at least one worker");
-        let io = |e: std::io::Error| TransportError::Io(e.to_string());
-        let listener = self.into_listener();
-        listener.set_nonblocking(true).map_err(io)?;
-        let poller = Poller::new().map_err(io)?;
-        poller
-            .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-            .map_err(io)?;
-        let waker = poller.waker();
-        let (tx, rx) = channel::<Inbound>();
-        let shared = Arc::new(EvShared {
-            outbox: Mutex::new(Vec::new()),
-            connected_now: Mutex::new(vec![false; p]),
-            complement: Mutex::new(0),
-            complement_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-        });
-        let reactor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                Reactor {
-                    poller,
-                    listener,
-                    p,
-                    idle_deadline,
-                    tx,
-                    shared,
-                    conns: HashMap::new(),
-                    worker_conn: vec![None; p],
-                    ever_connected: vec![false; p],
-                    next_token: LISTENER_TOKEN + 1,
-                }
-                .run()
-            })
-        };
-        // Wait for the full complement.
+        let server = FrameServer::new(Some(self.into_listener()), idle_deadline)
+            .map_err(|e| TransportError::Io(e.to_string()))?;
+        let mut master = EventedTcpMaster { server, workers: Workers::new(p) };
         let deadline = Instant::now() + timeout;
-        let mut complement = shared.complement.lock().expect("complement lock");
-        while *complement < p {
+        while master.workers.greeted < p {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
-                let msg = format!("only {complement}/{p} workers connected within {timeout:?}");
-                drop(complement);
-                shared.shutdown.store(true, Ordering::SeqCst);
-                waker.wake();
-                let _ = reactor.join();
-                return Err(TransportError::Io(msg));
+                let greeted = master.workers.greeted;
+                return Err(TransportError::Io(format!(
+                    "only {greeted}/{p} workers connected within {timeout:?}"
+                )));
             }
-            let (guard, _timed_out) = shared
-                .complement_cv
-                .wait_timeout(complement, left.min(Duration::from_millis(50)))
-                .expect("condvar wait");
-            complement = guard;
+            master.pump(left)?;
         }
-        drop(complement);
-        Ok(EventedTcpMaster { inbox: rx, shared, waker, reactor: Mutex::new(Some(reactor)) })
+        Ok(master)
     }
 }
 
-/// Per-connection protocol state inside the reactor.
-enum ConnState {
-    /// Accepted, awaiting the hello request.
-    Handshaking {
-        /// When the connection was accepted.
-        since: Instant,
-    },
-    /// Hello complete; frames belong to this worker id.
-    Worker {
-        /// The identified worker.
-        id: usize,
-    },
+/// The worker protocol on the server: hello validation, worker identity
+/// across redials, and the arrival-ordered inbox.
+struct Workers {
+    inbox: VecDeque<Inbound>,
+    /// Token of each worker's *current* connection. The token acts as a
+    /// connection generation: a stale connection dying later no longer
+    /// matches and stays silent.
+    current: Vec<Option<u64>>,
+    /// Whether each worker has said hello at least once.
+    ever_greeted: Vec<bool>,
+    /// How many workers have — the complement `accept_workers` awaits.
+    greeted: usize,
+    /// Connections a redial replaced, closed quietly after the poll.
+    replaced: Vec<u64>,
 }
 
-struct Conn {
-    fc: FramedConn,
-    state: ConnState,
-    /// Whether write interest is currently armed (toggled only on
-    /// change — epoll_ctl per loop would be pure overhead).
-    armed_write: bool,
+impl Workers {
+    fn new(p: usize) -> Self {
+        Workers {
+            inbox: VecDeque::new(),
+            current: vec![None; p],
+            ever_greeted: vec![false; p],
+            greeted: 0,
+            replaced: Vec::new(),
+        }
+    }
 }
 
-/// The reactor thread's whole world.
-struct Reactor {
-    poller: Poller,
-    listener: TcpListener,
-    p: usize,
-    idle_deadline: Duration,
-    tx: Sender<Inbound>,
-    shared: Arc<EvShared>,
-    conns: HashMap<u64, Conn>,
-    /// Token of each worker's *current* connection. The token acts as
-    /// a connection generation: a stale connection dying later no
-    /// longer matches and stays silent.
-    worker_conn: Vec<Option<u64>>,
-    ever_connected: Vec<bool>,
-    next_token: u64,
-}
-
-impl Reactor {
-    fn run(mut self) {
-        let mut events: Vec<Readiness> = Vec::new();
-        loop {
-            events.clear();
-            if self.poller.wait(&mut events, Some(SCAN_SLICE)).is_err() {
-                break;
-            }
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                // The master queued its last replies (the `Finished`
-                // each worker is owed) before shutting down, often in
-                // the same wake: deliver them within the parting
-                // budget, then tear down.
-                self.drain_outbox();
-                lss_reactor::parting_flush(self.conns.values_mut().map(|c| &mut c.fc));
-                break;
-            }
-            for ev in std::mem::take(&mut events) {
-                self.handle_event(ev);
-            }
-            self.drain_outbox();
-            self.scan_deadlines();
-        }
-        // Teardown: dropping the map closes every socket; dropping `tx`
-        // lets the master's inbox observe disconnection.
-    }
-
-    fn handle_event(&mut self, ev: Readiness) {
-        if ev.token == LISTENER_TOKEN {
-            self.accept_all();
-            return;
-        }
-        let mut dead = false;
-        let mut frames = Vec::new();
-        if ev.readable || ev.closed {
-            if let Some(conn) = self.conns.get_mut(&ev.token) {
-                // Final frames ahead of an EOF are still extracted; the
-                // error only marks the connection for closing after
-                // they are processed.
-                if conn.fc.on_readable(&mut frames).is_err() {
-                    dead = true;
-                }
-            } else {
-                return;
-            }
-        }
-        for payload in frames {
-            if !self.process_frame(ev.token, &payload) {
-                dead = true;
-                break;
-            }
-        }
-        if dead || ev.closed {
-            self.close_conn(ev.token);
-            return;
-        }
-        if ev.writable {
-            self.flush_conn(ev.token);
-        }
-    }
-
-    /// Accepts until the backlog drains (level-triggered: leftover
-    /// pending connections re-trigger the listener event anyway, but
-    /// draining now saves wakeups).
-    fn accept_all(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let Ok(fc) = FramedConn::new(stream) else { continue };
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    if self
-                        .poller
-                        .register(fc.stream().as_raw_fd(), token, Interest::READ)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(
-                        token,
-                        Conn {
-                            fc,
-                            state: ConnState::Handshaking { since: Instant::now() },
-                            armed_write: false,
-                        },
-                    );
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => break,
-            }
-        }
-    }
-
-    /// Dispatches one decoded frame. Returns `false` when the
-    /// connection must be closed (malformed traffic, a bad hello, or
-    /// the master side has gone away).
-    fn process_frame(&mut self, token: u64, payload: &[u8]) -> bool {
+impl Handler<usize> for Workers {
+    /// Decodes one frame into the inbox; `false` closes the connection
+    /// (malformed traffic, a bad hello, or a connection a redial
+    /// replaced).
+    fn on_frame(&mut self, conn: &mut Conn<usize>, payload: &[u8]) -> bool {
         let Some(msg) = WireMsg::decode(payload) else {
             return false;
         };
-        let state_id = match self.conns.get(&token) {
-            Some(Conn { state: ConnState::Worker { id }, .. }) => Some(*id),
-            Some(Conn { state: ConnState::Handshaking { .. }, .. }) => None,
-            None => return false,
-        };
-        match (state_id, msg) {
-            // The hello: first frame must be a request naming a valid
-            // worker id.
-            (None, WireMsg::Request(req)) => {
-                if req.worker >= self.p {
-                    return false;
-                }
-                let id = req.worker;
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.state = ConnState::Worker { id };
-                }
-                // A redial replaces the old connection; close it
-                // quietly (its token no longer matches, so no stale
-                // disconnect notice fires).
-                if let Some(old) = self.worker_conn[id].replace(token) {
-                    if old != token {
-                        self.close_conn(old);
-                    }
-                }
-                self.shared.connected_now.lock().expect("connected lock")[id] = true;
-                if self.ever_connected[id] {
-                    if self.tx.send(Inbound::Reconnected(id)).is_err() {
-                        return false;
-                    }
-                } else {
-                    self.ever_connected[id] = true;
-                    let mut complement = self.shared.complement.lock().expect("complement lock");
-                    *complement += 1;
-                    self.shared.complement_cv.notify_all();
-                }
-                // Deliver the hello through the inbox like any request.
-                self.tx.send(Inbound::Request(req)).is_ok()
-            }
-            (Some(_), WireMsg::Request(req)) => self.tx.send(Inbound::Request(req)).is_ok(),
+        let token = conn.token();
+        match (conn.peer().copied(), msg) {
+            (Some(id), _) if self.current[id] != Some(token) => return false,
+            (Some(_), WireMsg::Request(req)) => self.inbox.push_back(Inbound::Request(req)),
             (Some(_), WireMsg::Heartbeat { worker }) => {
-                self.tx.send(Inbound::Heartbeat { worker }).is_ok()
+                self.inbox.push_back(Inbound::Heartbeat { worker })
+            }
+            // The hello: the first frame must be a request naming a
+            // valid worker id. It is delivered like any request.
+            (None, WireMsg::Request(req)) if req.worker < self.current.len() => {
+                let id = req.worker;
+                conn.set_peer(id);
+                if let Some(old) = self.current[id].replace(token) {
+                    self.replaced.push(old);
+                }
+                if self.ever_greeted[id] {
+                    self.inbox.push_back(Inbound::Reconnected(id));
+                } else {
+                    self.ever_greeted[id] = true;
+                    self.greeted += 1;
+                }
+                self.inbox.push_back(Inbound::Request(req));
             }
             // Anything else before the hello is protocol abuse.
-            (None, _) => false,
+            (None, _) => return false,
         }
+        true
     }
 
-    /// Moves queued replies onto their connections and flushes.
-    fn drain_outbox(&mut self) {
-        let pending = std::mem::take(&mut *self.shared.outbox.lock().expect("outbox lock"));
-        if pending.is_empty() {
-            return;
-        }
-        let mut touched: Vec<u64> = Vec::new();
-        for (worker, payload) in pending {
-            let Some(token) = self.worker_conn.get(worker).copied().flatten() else {
-                // Raced with a disconnect after `send`'s check: the
-                // reply is lost exactly as bytes in a dead socket's
-                // buffer would be; the lease layer re-grants the work.
-                continue;
-            };
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if conn.fc.queue_frame(&payload).is_err() {
-                    self.close_conn(token);
-                    continue;
-                }
-                if !touched.contains(&token) {
-                    touched.push(token);
-                }
-            }
-        }
-        for token in touched {
-            self.flush_conn(token);
-        }
-    }
-
-    /// Flushes a connection's queue and keeps write interest armed
-    /// exactly while bytes remain.
-    fn flush_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else { return };
-        match conn.fc.flush() {
-            Ok(wants_write) => {
-                if wants_write != conn.armed_write {
-                    conn.armed_write = wants_write;
-                    let interest = if wants_write { Interest::READ_WRITE } else { Interest::READ };
-                    let _ = self.poller.rearm(conn.fc.stream().as_raw_fd(), token, interest);
-                }
-            }
-            Err(_) => self.close_conn(token),
-        }
-    }
-
-    /// Cuts connections that blew their handshake or idle deadline —
-    /// the reactor's answer to half-open sockets: no thread is parked
-    /// anywhere, so a scan and a close is the entire cleanup.
-    fn scan_deadlines(&mut self) {
-        let now = Instant::now();
-        let mut doomed: Vec<u64> = Vec::new();
-        for (token, conn) in &self.conns {
-            let overdue = match conn.state {
-                ConnState::Handshaking { since } => {
-                    now.saturating_duration_since(since) >= HANDSHAKE_DEADLINE
-                }
-                ConnState::Worker { .. } => conn.fc.idle_for(now) >= self.idle_deadline,
-            };
-            if overdue {
-                doomed.push(*token);
-            }
-        }
-        for token in doomed {
-            self.close_conn(token);
-        }
-    }
-
-    /// Removes a connection; if it was some worker's current link, the
-    /// master hears `Disconnected` (stale links die silently).
-    fn close_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else { return };
-        let _ = self.poller.deregister(conn.fc.stream().as_raw_fd());
-        if let ConnState::Worker { id } = conn.state {
-            if self.worker_conn[id] == Some(token) {
-                self.worker_conn[id] = None;
-                self.shared.connected_now.lock().expect("connected lock")[id] = false;
-                let _ = self.tx.send(Inbound::Disconnected(id));
-            }
+    /// The master hears `Disconnected` only for a worker's current
+    /// link; stale links die silently.
+    fn on_close(&mut self, token: u64, id: usize) {
+        if self.current[id] == Some(token) {
+            self.current[id] = None;
+            self.inbox.push_back(Inbound::Disconnected(id));
         }
     }
 }
@@ -614,8 +355,8 @@ mod tests {
     #[test]
     fn evented_half_open_worker_is_disconnected() {
         // Handshake, then silence → typed Disconnected via the idle
-        // deadline, and no thread anywhere is stuck (the reactor keeps
-        // looping).
+        // deadline, and no thread anywhere is stuck (the master's own
+        // polls keep expiring deadlines).
         let handle = evented_listen().unwrap();
         let addr = handle.addr;
         let silent = std::thread::spawn(move || {
@@ -645,8 +386,8 @@ mod tests {
 
     #[test]
     fn evented_shutdown_completes_without_inbound_connections() {
-        // The waker — not a connection — unblocks the reactor: a
-        // drained master must shut down with zero inbound dials.
+        // Shutdown waits for no inbound connection: a drained master
+        // must shut down with zero inbound dials.
         let handle = evented_listen().unwrap();
         let addr = handle.addr;
         let t = std::thread::spawn(move || {
@@ -659,7 +400,7 @@ mod tests {
         let t0 = Instant::now();
         master.shutdown();
         assert!(t0.elapsed() < Duration::from_secs(5), "shutdown waited for a connection");
-        // The reactor is joined: its listener is closed, redials fail.
+        // The listener is closed, so redials fail.
         assert!(TcpStream::connect(addr).is_err());
         let err = t.join().unwrap().unwrap_err();
         assert!(err.is_disconnect(), "{err:?}");
@@ -669,8 +410,8 @@ mod tests {
     #[test]
     fn evented_shutdown_delivers_queued_replies() {
         // The master's last word is a `Finished` sent right before it
-        // shuts down; the reactor usually wakes once for both, and the
-        // queued reply must reach the wire before the socket closes.
+        // shuts down, and the queued reply must reach the wire before
+        // the socket closes.
         for _ in 0..20 {
             let handle = evented_listen().unwrap();
             let addr = handle.addr;
@@ -730,7 +471,7 @@ mod tests {
         let handle = evented_listen().unwrap();
         let addr = handle.addr;
         let bad = std::thread::spawn(move || {
-            // Claims worker id 9 but only 1 slot exists: the reactor
+            // Claims worker id 9 but only 1 slot exists: the master
             // drops the connection and keeps serving.
             let _ = TcpWorker::connect(addr, Request { worker: 9, q: 1, result: None });
         });

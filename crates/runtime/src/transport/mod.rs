@@ -8,7 +8,8 @@
 //! - TCP sockets with length-prefixed frames ([`frame`]), standing in
 //!   for the paper's MPI-over-Ethernet: workers dial with
 //!   [`tcp::TcpWorker`], and the master's side of every connection
-//!   runs on a single epoll reactor thread ([`evented`]).
+//!   ([`evented`]) is one epoll set, polled by the master loop's own
+//!   thread through `lss-reactor`'s framed-connection server.
 //!
 //! Both support the fault-tolerant protocol extensions: timed receives
 //! (so the master can poll chunk leases), piggy-backed heartbeats, and

@@ -4,7 +4,7 @@
 //! [`crate::protocol`] encodings wrapped in a [`WireMsg`] envelope
 //! (requests and heartbeats share the stream). Each worker opens one
 //! connection with [`TcpWorker`]; the master's side of every
-//! connection lives on one epoll reactor thread
+//! connection is one epoll set the master loop polls itself
 //! ([`super::evented::EventedTcpMaster`]) — the moral equivalent of
 //! the paper's single MPI receive loop.
 //!
@@ -32,9 +32,10 @@ pub struct TcpWorker {
     addr: SocketAddr,
 }
 
-/// A bound listener and its address. The runtime's reactor master
-/// takes it over with `accept_workers` ([`super::evented`]); the
-/// serving layer runs its own reactor on [`Self::into_listener`].
+/// A bound listener and its address. The runtime master takes it over
+/// with `accept_workers` ([`super::evented`]); the serving layer hands
+/// [`Self::into_listener`] to its own loop. Both run the listener on
+/// `lss-reactor`'s framed-connection server.
 pub struct TcpListenerHandle {
     listener: TcpListener,
     /// The address workers should dial.

@@ -281,8 +281,6 @@ pub(crate) struct Service {
     rejected: u64,
     requests: u64,
     seen: Vec<bool>,
-    /// Pool members that have said hello at least once (never reset).
-    greeted: Vec<bool>,
     told_shutdown: Vec<bool>,
     total_iterations: u64,
 }
@@ -322,7 +320,6 @@ impl Service {
             rejected: 0,
             requests: 0,
             seen: vec![false; workers],
-            greeted: vec![false; workers],
             told_shutdown: vec![false; workers],
             total_iterations: 0,
         };
@@ -378,11 +375,11 @@ impl Service {
                 .all(|(seen, told)| !seen || *told)
     }
 
-    /// Whether some pool member has never said hello: a worker that may
-    /// still dial in, and should hear `Shutdown` rather than find the
-    /// port closed.
+    /// Whether some pool member has not heard `Shutdown`: one that never
+    /// said hello, or one whose link dropped. Either may still dial in,
+    /// and should hear `Shutdown` rather than find the port closed.
     pub(crate) fn pool_incomplete(&self) -> bool {
-        self.greeted.contains(&false)
+        self.told_shutdown.contains(&false)
     }
 
     /// The lease tick: expires overdue leases, runs the quarantine
@@ -409,9 +406,8 @@ impl Service {
             // No link left to say goodbye on: a gone worker must not
             // hold the service open waiting for a `Shutdown` it can
             // never receive. A redial re-enters via `Hello` and re-marks
-            // `seen`.
+            // `seen`; one that already heard `Shutdown` stays told.
             self.seen[worker] = false;
-            self.told_shutdown[worker] = false;
         }
     }
 
@@ -524,7 +520,6 @@ impl Service {
             };
         }
         self.seen[worker] = true;
-        self.greeted[worker] = true;
         self.requests += 1;
         let now = self.now();
         // Write-ahead: completions hit the journal before the

@@ -77,8 +77,13 @@ fn evented_transport_survives_connection_churn() {
 fn eight_worker_chaos_over_evented_tcp() {
     let w = Arc::new(Mandelbrot::new(MandelbrotParams::paper_domain(96, 64)));
     let mut workers = vec![WorkerSpec::fast(); 5];
-    workers.push(WorkerSpec::failing_after(1));
-    workers.push(WorkerSpec::fast().with_fault(FaultPlan::hang_after(1)));
+    // Workers 5 and 6 fail on their first grant, the one grant a worker
+    // is sure of: `accept_workers` returns only once every hello is
+    // queued, so each hello is served before any second request. A
+    // fault planned for a later grant could find the peers have
+    // drained the loop.
+    workers.push(WorkerSpec::failing_after(0));
+    workers.push(WorkerSpec::fast().with_fault(FaultPlan::hang_after(0)));
     workers.push(WorkerSpec::fast().with_fault(FaultPlan::reconnect_after(1, 150_000_000)));
     let mut cfg = HarnessConfig::new(SchemeKind::Fss, workers);
     cfg.transport = Transport::TcpEvented;

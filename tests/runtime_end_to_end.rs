@@ -224,9 +224,10 @@ fn chaos_lease() -> LeaseConfig {
 fn eight_worker_chaos(transport: Transport) {
     let w = Arc::new(Mandelbrot::new(MandelbrotParams::paper_domain(96, 64)));
     let mut workers = vec![WorkerSpec::fast(); 5];
-    // Workers 5 and 6 fail on their first grant: over channels the
-    // master serves before every worker has asked, so a fault planned
-    // for a later grant never fires when the peers drain the loop first.
+    // Workers 5 and 6 fail on their first grant, the one grant a worker
+    // is sure of: the master starts only once every hello is queued, so
+    // each hello is served before any second request. A fault planned
+    // for a later grant could find the peers have drained the loop.
     workers.push(WorkerSpec::failing_after(0)); // worker 5: crash
     workers.push(WorkerSpec::fast().with_fault(FaultPlan::hang_after(0))); // worker 6: hang
     workers.push(WorkerSpec::fast().with_fault(FaultPlan::reconnect_after(1, 150_000_000))); // worker 7
